@@ -38,7 +38,7 @@ from .analytic import (
     phase_from_magnetic_pulses,
     phase_from_voltage_pulses,
     position_marginal_propagated,
-    wigner_single_slit,
+    single_slit_field,
     wigner_two_slit_propagated,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
@@ -254,11 +254,9 @@ def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Opt
     curve = MarginalCurve(axis_label=args.axis, grid=norm_axis, values=cur)
     reference = MarginalCurve(axis_label=args.axis, grid=norm_axis, values=ref)
 
-    xm = x_raw.points()[:, None] - params.alpha * p_raw.points()[None, :]
-    pm = p_raw.points()[None, :]
-    norm_grid2d = Grid2D(x_norm, p_norm)
+    raw_grid2d, norm_grid2d = Grid2D(x_raw, p_raw), Grid2D(x_norm, p_norm)
     slit_fields = [
-        WignerField(grid=norm_grid2d, values=wigner_single_slit(params, xm, pm, s))
+        WignerField(grid=norm_grid2d, values=single_slit_field(params, raw_grid2d, s).values)
         for s in (1, -1)
     ]
     interval = common_projection_interval(

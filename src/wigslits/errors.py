@@ -10,9 +10,9 @@ class TruncationError(RuntimeError):
 
 
 class ConventionViolationError(RuntimeError):
-    """A quantity that must be real/non-negative by construction is not.
+    """A marginal that must be non-negative, or match |phibar(p)|^2, does not.
 
-    This signals a kernel-sign or normalization bug, not a tolerance issue.
+    This signals a kernel-sign or normalization bug, or an undersampled x grid.
     """
 
 

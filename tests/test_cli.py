@@ -75,10 +75,11 @@ def test_simulate_rows_are_row_major_over_x_then_p(tmp_path):
     assert first_x[64] > first_x[0]
 
 
-def test_simulate_determinism(tmp_path):
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
+def test_simulate_determinism(tmp_path, engine):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4",
+        assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4", "--engine", engine,
                    "--out", str(out), *SMALL) == 0
     for name in ("wigner.csv", "xmarginal.csv", "pmarginal.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -135,6 +136,16 @@ def test_simulate_numeric_truncation_exit_code(tmp_path, capsys):
                "--out", str(tmp_path), *SMALL)
     assert code == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_simulate_numeric_undersampled_grid_exit_code(tmp_path, capsys):
+    # dx ~ 1.39 x0 is inside the lag-lattice bandwidth for |P| <= 1.1 but too
+    # coarse for the field: its x-integral misses |phibar(p)|^2 by ~0.2 of peak
+    code = run("simulate", "--d", "5", "--engine", "numeric", "--delta", "4",
+               "--nx", "24", "--np", "24", "--xmin", "-16", "--xmax", "16",
+               "--pmin", "-1.1", "--pmax", "1.1", "--out", str(tmp_path))
+    assert code == 3
+    assert "phibar" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- fringes

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wigslits.numeric
 from wigslits import (
     ConventionViolationError,
     Grid1D,
@@ -105,6 +106,13 @@ def test_momentum_wavefunction_truncation_guard():
     momentum_wavefunction(psi, P_GRID, 1.0, edge_tol=1e-1)
 
 
+def test_momentum_wavefunction_rejects_unknown_truncation_action():
+    # the action is validated even when the window has decayed and no guard trips
+    psi = sample_wavefunction(normalized_params(), X_GRID)
+    with pytest.raises(ValueError, match="on_truncation"):
+        momentum_wavefunction(psi, P_GRID, 1.0, on_truncation="raise")
+
+
 # ---------------------------------------------------------------- Wigner transform
 
 
@@ -155,6 +163,21 @@ def test_wigner_transform_enforces_momentum_bandwidth():
     too_wide = Grid1D(min=-40.0, max=40.0, n=64)  # beyond pi*hbar/(2 dx) ~ 33.4
     with pytest.raises(ValueError, match="bandwidth"):
         wigner_transform(psi, too_wide, 1.0)
+
+
+def test_wigner_transform_catches_kernel_sign_flip(monkeypatch):
+    # checking the field against phibar(-p) (the reference evaluated with
+    # -hbar) is the same comparison as checking a flipped-kernel field
+    # against phibar(p); at delta = 4 the two momentum densities differ
+    original = wigslits.numeric.momentum_wavefunction
+    monkeypatch.setattr(
+        wigslits.numeric,
+        "momentum_wavefunction",
+        lambda psi, p_grid, hbar=1.0, **kwargs: original(psi, p_grid, -hbar, **kwargs),
+    )
+    psi = sample_wavefunction(normalized_params(delta=4.0), X_GRID)
+    with pytest.raises(ConventionViolationError, match="phibar"):
+        wigner_transform(psi, P_GRID, 1.0)
 
 
 def test_wigner_transform_total_mass():
