@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 usage/parse error, 3 numerical guard tripped,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,7 +40,7 @@ from .analytic import (
     phase_from_voltage_pulses,
     position_marginal_propagated,
     single_slit_field,
-    wigner_two_slit_propagated,
+    two_slit_field,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
 from .model import (
@@ -68,34 +69,40 @@ _EXIT_ANALYSIS = 4
 # ---------------------------------------------------------------- helpers
 
 
-def _fmt(value: float) -> str:
-    # shortest round-trip decimal keeps CSV bodies byte-reproducible and
-    # lets downstream parsing recover the exact float
-    return repr(float(value))
+# rows formatted per write: bounds the text held in memory at any grid size
+_CSV_BLOCK_ROWS = 8192
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
+    """Stream chunks to a temp file, rename it over ``path``; return the sha256 of the bytes."""
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[Tuple[float, ...]]) -> Tuple[str, int]:
-    lines = [header]
-    count = 0
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-        count += 1
-    body = "\n".join(lines) + "\n"
-    _write_text_atomic(path, body)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return digest, count
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> dict:
+    # shortest round-trip decimals keep files byte-reproducible and let a
+    # reader recover the exact floats; returns the file's manifest entry
+    rows = max(map(len, columns))  # a shorter column makes zip(strict=True) raise
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            cells = [map(repr, col[start : start + _CSV_BLOCK_ROWS].tolist()) for col in columns]
+            yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+
+    return {"path": path.name, "sha256": _write_atomic(path, chunks()), "rows": rows}
 
 
 def _read_two_column_csv(path: str, expected_header: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,6 +156,8 @@ def _raw_axes(params: SlitPairParams, x_norm: Grid1D, p_norm: Grid1D) -> Tuple[G
 def _numeric_position_marginal(params: SlitPairParams, x_raw: Grid1D, edge_tol: float) -> np.ndarray:
     """|psi(x)|^2 after free flight, on x_raw, via propagation on a widened grid.
 
+    The numeric engine's position marginal at every alpha, zero included:
+    it is exact to roundoff, unlike the p-quadrature of the sampled field.
     The requested window usually cannot hold the spread packet, so the grid
     is extended by whole steps (the requested points stay on the lattice),
     propagated, and cropped back.
@@ -171,38 +180,27 @@ def cmd_simulate(args) -> int:
     x_raw, p_raw = _raw_axes(params, x_norm, p_norm)
 
     if args.engine == "analytic":
-        field_values = wigner_two_slit_propagated(
-            params, x_raw.points()[:, None], p_raw.points()[None, :]
-        )
+        field_values = two_slit_field(params, Grid2D(x_raw, p_raw)).values
         x_density = position_marginal_propagated(params, x_raw.points())
         p_density = momentum_marginal(params, p_raw.points())
     else:
         psi = sample_wavefunction(params, x_raw)
         base = wigner_transform(psi, p_raw, params.hbar, edge_tol=args.edge_tol)
-        base_pos, base_mom = field_marginals(base, params.hbar)
-        p_density = base_mom.values  # invariant under free flight
-        if params.alpha > 0:
-            field_values = shear_field(base, params.alpha).values
-            x_density = _numeric_position_marginal(params, x_raw, args.edge_tol)
-        else:
-            field_values = base.values
-            x_density = base_pos.values
+        field_values = shear_field(base, params.alpha).values
+        x_density = _numeric_position_marginal(params, x_raw, args.edge_tol)
+        p_density = field_marginals(base, params.hbar)[1].values  # invariant under free flight
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     xs = x_norm.points()
     ps = p_norm.points()
-
-    wigner_rows = (
-        (xs[i], ps[j], field_values[i, j]) for i in range(x_norm.n) for j in range(p_norm.n)
-    )
-    files = {}
-    digest, nrows = _write_csv(out / "wigner.csv", "x,p,w", wigner_rows)
-    files["wigner"] = {"path": "wigner.csv", "sha256": digest, "rows": nrows}
-    digest, nrows = _write_csv(out / "xmarginal.csv", "coord,value", zip(xs, x_density))
-    files["xmarginal"] = {"path": "xmarginal.csv", "sha256": digest, "rows": nrows}
-    digest, nrows = _write_csv(out / "pmarginal.csv", "coord,value", zip(ps, p_density))
-    files["pmarginal"] = {"path": "pmarginal.csv", "sha256": digest, "rows": nrows}
+    files = {
+        "wigner": _write_csv(
+            out / "wigner.csv", "x,p,w", np.repeat(xs, ps.size), np.tile(ps, xs.size), field_values.ravel()
+        ),
+        "xmarginal": _write_csv(out / "xmarginal.csv", "coord,value", xs, x_density),
+        "pmarginal": _write_csv(out / "pmarginal.csv", "coord,value", ps, p_density),
+    }
 
     manifest = {
         "command": "simulate",
@@ -227,7 +225,7 @@ def cmd_simulate(args) -> int:
         "edge_tol": args.edge_tol,
         "files": files,
     }
-    _write_text_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -236,9 +234,7 @@ def cmd_simulate(args) -> int:
 
 def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Optional[Tuple[float, float]]]:
     params = _params_from_args(args)
-    reference_params = SlitPairParams(
-        x0=args.x0, d=args.d, delta=args.ref_delta, hbar=args.hbar, alpha=args.alpha
-    )
+    reference_params = dataclasses.replace(params, delta=args.ref_delta)
     x_norm, p_norm = _norm_grids(args)
     x_raw, p_raw = _raw_axes(params, x_norm, p_norm)
 
@@ -293,7 +289,7 @@ def cmd_fringes(args) -> int:
     )
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
-        _write_text_atomic(Path(args.out), text)
+        _write_atomic(Path(args.out), [text])
     else:
         sys.stdout.write(text)
     return 0

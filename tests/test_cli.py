@@ -20,7 +20,7 @@ from wigslits import (
     wigner_transform,
     wigner_two_slit_propagated,
 )
-from wigslits.cli import main
+from wigslits.cli import _CSV_BLOCK_ROWS, _write_atomic, main
 
 SMALL = ["--nx", "64", "--np", "64"]
 
@@ -85,6 +85,35 @@ def test_simulate_determinism(tmp_path, engine):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_simulate_csv_bytes_match_row_by_row_reference(tmp_path):
+    # 97 * 101 rows span more than one formatting block; the reference is the
+    # plain per-row loop over the closed form
+    assert 97 * 101 > _CSV_BLOCK_ROWS
+    assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4", "--nx", "97", "--np", "101",
+               "--out", str(tmp_path)) == 0
+    xs = Grid1D(min=-12.0, max=12.0, n=97).points()
+    ps = Grid1D(min=-4.0, max=4.0, n=101).points()
+    w = wigner_two_slit_propagated(normalized_params(alpha=6.0, delta=4.0), xs[:, None], ps[None, :])
+    expected = "x,p,w\n" + "".join(
+        f"{float(x)!r},{float(p)!r},{float(w[i, j])!r}\n" for i, x in enumerate(xs) for j, p in enumerate(ps)
+    )
+    assert (tmp_path / "wigner.csv").read_bytes() == expected.encode()
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "wigner.csv"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        _write_atomic(target, chunks())
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_simulate_analytic_values_match_closed_form(tmp_path):
     assert run("simulate", "--d", "5", "--delta", "4", "--out", str(tmp_path), *SMALL) == 0
     rows = (tmp_path / "wigner.csv").read_text().splitlines()[1:]
@@ -120,11 +149,12 @@ def test_simulate_numeric_engine_matches_transform(tmp_path):
     np.testing.assert_array_equal(got, flat)
 
 
-def test_simulate_numeric_with_flight(tmp_path):
-    assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4", "--engine", "numeric",
+@pytest.mark.parametrize("alpha", ["0", "6"])
+def test_simulate_numeric_with_flight(tmp_path, alpha):
+    assert run("simulate", "--d", "5", "--alpha", alpha, "--delta", "4", "--engine", "numeric",
                "--out", str(tmp_path), "--nx", "128", "--np", "64") == 0
     coords, values = np.loadtxt(tmp_path / "xmarginal.csv", delimiter=",", skiprows=1, unpack=True)
-    params = normalized_params(alpha=6.0, delta=4.0)
+    params = normalized_params(alpha=float(alpha), delta=4.0)
     from wigslits import position_marginal_propagated
 
     closed = position_marginal_propagated(params, coords)
