@@ -1,6 +1,12 @@
 """Quantitative fringe extraction from marginal curves.
 
 Peak positions come from local maxima refined by a 3-point quadratic fit.
+The maxima are selected by topographic prominence with the rules of
+``scipy.signal.find_peaks``, and the comb frequency is the maximum of a
+windowed Fourier magnitude found by Brent's bounded search, the iteration
+of ``scipy.optimize.fminbound``. Both are reimplemented here on numpy and
+the standard library, so importing the package does not import scipy.
+
 Raw peak positions of a fringe comb under a varying envelope are biased
 toward the envelope center (the multiplicative envelope pulls every local
 maximum inward), so the fringe period and the fringe shift between two
@@ -12,11 +18,10 @@ negligible for the Gaussian envelopes produced here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import find_peaks
 
 from .errors import AnalysisError
 from .model import MarginalCurve, WignerField
@@ -48,7 +53,7 @@ def find_fringe_maxima(curve: MarginalCurve, min_prominence: float) -> List[floa
     peak = values.max()
     if peak <= 0:
         return []
-    indices, _ = find_peaks(values, prominence=min_prominence * peak)
+    indices = _prominent_peaks(values, min_prominence * peak)
     points = curve.grid.points()
     spacing = curve.grid.spacing
     out = []
@@ -58,6 +63,124 @@ def find_fringe_maxima(curve: MarginalCurve, min_prominence: float) -> List[floa
         offset = 0.0 if denom == 0 else 0.5 * (ym1 - yp1) / denom
         out.append(float(points[i] + offset * spacing))
     return out
+
+
+def _prominent_peaks(values: np.ndarray, floor: float) -> List[int]:
+    """Indices of the peaks of non-empty, finite ``values`` whose prominence is >= ``floor``.
+
+    Same result as ``scipy.signal.find_peaks(values, prominence=floor)[0]``:
+    a peak rises strictly from its left neighbour and falls strictly to its
+    right one, and a flat top counts once, at its middle index rounded
+    down. Prominence is the height above the higher of the two minima found
+    on each side before the curve rises above the peak or ends.
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    # Runs of equal samples [first, last]; a run is a peak when both
+    # neighbours lie strictly below it.
+    first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    last = np.r_[first[1:] - 1, n - 1]
+    inner = (first > 0) & (last < n - 1)
+    first, last = first[inner], last[inner]
+    rises = (x[first - 1] < x[first]) & (x[last + 1] < x[last])
+    lowest = x.min()
+    out = []
+    for lo, hi in zip(first[rises].tolist(), last[rises].tolist()):
+        top = x[lo]
+        # The prominence is at most top - lowest (rounding is monotone), so
+        # this skips peaks that cannot reach the floor, such as roundoff
+        # ripples in the tails, without scanning for their bases.
+        if top - lowest < floor:
+            continue
+        above_left = np.flatnonzero(x[:lo] > top)
+        above_right = np.flatnonzero(x[hi + 1 :] > top)
+        start = above_left[-1] + 1 if above_left.size else 0
+        stop = hi + 1 + above_right[0] if above_right.size else n
+        base = max(x[start:lo].min(), x[hi + 1 : stop].min())
+        if top - base >= floor:
+            out.append((lo + hi) // 2)
+    return out
+
+
+def _bounded_minimum(func: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of ``func`` on [lo, hi] by Brent's bounded search.
+
+    Golden-section steps accelerated by parabolic interpolation (Brent,
+    "Algorithms for Minimization without Derivatives", 1973), stopping when
+    the bracket half-width falls to 2 * tol1, with tol1 = sqrt(2.2e-16) *
+    |x| + xatol / 3 at the best point x, or after 500 evaluations. This is
+    the iteration of ``scipy.optimize.fminbound`` (``minimize_scalar(method=
+    "bounded")``, BSD-licensed, from which it is adapted) and returns the
+    same ``x`` bit for bit. Its relative stopping term matters here: the comb magnitude is
+    flat to the last bit within ~1e-8 of its maximum, where a search run
+    down to ``xatol`` alone would follow roundoff.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc).
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
 
 
 def _envelope_centroid(curve: MarginalCurve) -> float:
@@ -86,13 +209,9 @@ def _comb_frequency(curve: MarginalCurve) -> float:
     if len(maxima) < 3:
         raise AnalysisError(f"need >= 3 fringe maxima to estimate a period, found {len(maxima)}")
     omega0 = 2 * np.pi / float(np.median(np.diff(maxima)))
-    result = minimize_scalar(
-        lambda om: -abs(_windowed_component(curve, om)),
-        bounds=(0.7 * omega0, 1.3 * omega0),
-        method="bounded",
-        options={"xatol": 1e-12 * omega0},
+    return _bounded_minimum(
+        lambda om: -abs(_windowed_component(curve, om)), 0.7 * omega0, 1.3 * omega0, 1e-12 * omega0
     )
-    return float(result.x)
 
 
 def fringe_period(curve: MarginalCurve) -> float:

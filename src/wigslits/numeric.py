@@ -38,10 +38,18 @@ DEFAULT_EDGE_DECAY_TOL = 1e-10
 # flipped kernel sign reads >= 0.7 unless delta is a multiple of pi.
 _MARGINAL_TOL = 1e-2
 
+# Smallest edge_tol free propagation accepts. An FFT round trip leaves
+# roundoff at the edges however wide the window: 1e-17 to 6e-16 of peak for
+# slits at +-5 on 1024 to 4096 points, alpha <= 6 (5.1e-17 at alpha = 0), so a
+# tolerance below that fails on roundoff alone.
+_FFT_ROUNDOFF_FLOOR = 1e-15
+
 
 def _check_edge_decay(values: np.ndarray, tol: float, action: str, what: str) -> None:
     if action not in ("error", "warn"):
         raise ValueError(f"on_truncation must be 'error' or 'warn', got {action!r}")
+    if not (math.isfinite(tol) and 0.0 < tol <= 1.0):
+        raise ValueError(f"edge_tol must be finite and in (0, 1], got {tol!r}")
     peak = np.abs(values).max()
     if peak == 0.0:
         return
@@ -174,10 +182,16 @@ def propagate_free(
 
     The grid must hold the packet both before and after flight (the
     envelope widens to roughly the propagated width); either failure
-    raises TruncationError.
+    raises TruncationError. An ``edge_tol`` below the FFT roundoff floor
+    (1e-15 of peak), which no window could meet, raises ValueError.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if edge_tol < _FFT_ROUNDOFF_FLOOR:
+        raise ValueError(
+            f"edge_tol {edge_tol:.1e} is below the FFT roundoff floor {_FFT_ROUNDOFF_FLOOR:.0e} "
+            "of free propagation; its output edge check could not pass"
+        )
     _check_edge_decay(psi.values, edge_tol, on_truncation, "free propagation (input)")
     n = psi.grid.n
     p = 2 * math.pi * hbar * np.fft.fftfreq(n, d=psi.grid.spacing)

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.signal import find_peaks
 
 from wigslits import (
     AnalysisError,
@@ -17,6 +21,7 @@ from wigslits import (
     position_marginal_propagated,
     single_slit_field,
 )
+from wigslits.analysis import _bounded_minimum, _prominent_peaks
 
 P_AXIS = Grid1D(min=-4.0, max=4.0, n=512)
 X_AXIS = Grid1D(min=-12.0, max=12.0, n=512)
@@ -78,6 +83,42 @@ def test_find_fringe_maxima_rejects_negative_prominence():
 def test_find_fringe_maxima_ascending():
     found = find_fringe_maxima(_p_curve(4.0), 0.02)
     assert found == sorted(found)
+
+
+# Short runs of small integers make ties, plateaus and equal peaks common.
+_PEAK_INPUTS = st.one_of(
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40),
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    st.lists(st.integers(0, 3), min_size=1, max_size=40),
+)
+_FLOORS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=1000)
+@given(values=_PEAK_INPUTS, floor=_FLOORS)
+# Both peaks have prominence 2: each base scan must pass the other, equal peak.
+@example(values=[0, 2, 1, 2, 0], floor=1.5)
+def test_prominent_peaks_match_scipy_find_peaks(values, floor):
+    x = np.asarray(values, dtype=float)
+    assert _prominent_peaks(x, floor) == list(find_peaks(x, prominence=floor)[0])
+
+
+@settings(max_examples=200)
+@given(
+    centre=st.floats(-2.0, 2.0),
+    curvature=st.floats(0.1, 5.0),
+    ripple=st.floats(0.0, 20.0),
+    lo=st.floats(-3.0, 0.0),
+    width=st.floats(1e-3, 5.0),
+    log_xatol=st.floats(-14.0, -2.0),
+)
+def test_bounded_minimum_matches_scipy_bit_for_bit(centre, curvature, ripple, lo, width, log_xatol):
+    def func(x):
+        return curvature * (x - centre) ** 2 + np.cos(ripple * x)
+
+    hi, xatol = lo + width, 10.0**log_xatol
+    want = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x
+    assert _bounded_minimum(func, lo, hi, xatol) == want
 
 
 # ---------------------------------------------------------------- period

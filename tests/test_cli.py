@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wigslits
 from wigslits import (
     Grid1D,
     MarginalCurve,
@@ -34,6 +37,23 @@ def test_console_entry_points():
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "simulate" in proc.stdout
+
+
+def test_commands_do_not_import_scipy():
+    # scipy is only the tests' reference; importing it costs ~1 s and ~75 MB
+    script = (
+        "import sys\n"
+        "import wigslits\n"
+        "from wigslits import cli\n"
+        "assert cli.main(['fringes', '--axis', 'momentum']) == 0\n"
+        "assert cli.main(['phase', '--flux', '1', '--flux-quantum', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(wigslits.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_usage_error_exit_code():
@@ -176,6 +196,28 @@ def test_simulate_numeric_undersampled_grid_exit_code(tmp_path, capsys):
                "--pmin", "-1.1", "--pmax", "1.1", "--out", str(tmp_path))
     assert code == 3
     assert "phibar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_simulate_rejects_edge_tol_outside_unit_interval(tmp_path, capsys, tol):
+    # nan would pass every edge test (edge >= nan is false); -1 and 0 are
+    # usage errors, not guard failures
+    code = run("simulate", "--d", "5", "--engine", "numeric", "--edge-tol", tol,
+               "--out", str(tmp_path), *SMALL)
+    assert code == 2
+    assert "edge_tol must be finite and in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_simulate_rejects_edge_tol_below_fft_roundoff(tmp_path, capsys):
+    # the window holds the packet to ~1e-136, but the FFT round trip of free
+    # flight leaves 5.1e-17 of peak at its edges
+    wide = ["simulate", "--d", "5", "--engine", "numeric",
+            "--xmin", "-30", "--xmax", "30", "--nx", "1024", "--np", "128"]
+    assert run(*wide, "--edge-tol", "1e-20", "--out", str(tmp_path / "below")) == 2
+    assert "roundoff floor 1e-15" in capsys.readouterr().err
+    assert not (tmp_path / "below" / "manifest.json").exists()
+    assert run(*wide, "--edge-tol", "1e-15", "--out", str(tmp_path / "at")) == 0
 
 
 # ---------------------------------------------------------------- fringes
