@@ -58,6 +58,7 @@ from .numeric import (
     propagate_free,
     sample_wavefunction,
     shear_field,
+    validate_edge_tol,
     wigner_transform,
 )
 
@@ -175,6 +176,7 @@ def _numeric_position_marginal(params: SlitPairParams, x_raw: Grid1D, edge_tol: 
 
 
 def cmd_simulate(args) -> int:
+    validate_edge_tol(args.edge_tol)  # both engines: the manifest records it
     params = _params_from_args(args)
     x_norm, p_norm = _norm_grids(args)
     x_raw, p_raw = _raw_axes(params, x_norm, p_norm)
@@ -225,7 +227,8 @@ def cmd_simulate(args) -> int:
         "edge_tol": args.edge_tol,
         "files": files,
     }
-    _write_atomic(out / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomic(out / "manifest.json", [text])
     return 0
 
 
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--edge-tol",
         type=float,
         default=DEFAULT_EDGE_DECAY_TOL,
-        help="truncation guard: max endpoint amplitude relative to peak (numeric engine)",
+        help="truncation guard: max endpoint amplitude relative to peak",
     )
     sim.set_defaults(func=cmd_simulate)
 

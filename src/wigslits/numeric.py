@@ -19,6 +19,7 @@ from .model import Grid1D, Grid2D, MarginalCurve, SampledWavefunction, SlitPairP
 
 __all__ = [
     "DEFAULT_EDGE_DECAY_TOL",
+    "validate_edge_tol",
     "sample_wavefunction",
     "momentum_wavefunction",
     "wigner_transform",
@@ -38,18 +39,39 @@ DEFAULT_EDGE_DECAY_TOL = 1e-10
 # flipped kernel sign reads >= 0.7 unless delta is a multiple of pi.
 _MARGINAL_TOL = 1e-2
 
-# Smallest edge_tol free propagation accepts. An FFT round trip leaves
-# roundoff at the edges however wide the window: 1e-17 to 6e-16 of peak for
-# slits at +-5 on 1024 to 4096 points, alpha <= 6 (5.1e-17 at alpha = 0), so a
-# tolerance below that fails on roundoff alone.
-_FFT_ROUNDOFF_FLOOR = 1e-15
+# Momentum columns the transforms evaluate per block. Their scratch is
+# O(n * _P_BLOCK) whatever n_p is, and a fixed block keeps reruns bit-identical.
+_P_BLOCK = 256
+
+
+def _fft_roundoff_floor(n: int) -> float:
+    """Smallest edge_tol free propagation on n points accepts.
+
+    An FFT round trip leaves roundoff at the edges however wide the window,
+    and it grows with n: for slits at +-5 it reads 1e-17 to 6e-16 of peak on
+    1024 to 4096 points (alpha <= 6) and 1.8e-15 on 16384 points (alpha = 6),
+    so a tolerance below the floor fails on roundoff alone.
+    """
+    return 1e-15 * max(1.0, n / 4096)
+
+
+def validate_edge_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a usable edge_tol: finite and in (0, 1]."""
+    if not (math.isfinite(tol) and 0.0 < tol <= 1.0):
+        raise ValueError(f"edge_tol must be finite and in (0, 1], got {tol!r}")
+
+
+def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
+    weights = np.full(grid.n, grid.spacing)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return weights
 
 
 def _check_edge_decay(values: np.ndarray, tol: float, action: str, what: str) -> None:
     if action not in ("error", "warn"):
         raise ValueError(f"on_truncation must be 'error' or 'warn', got {action!r}")
-    if not (math.isfinite(tol) and 0.0 < tol <= 1.0):
-        raise ValueError(f"edge_tol must be finite and in (0, 1], got {tol!r}")
+    validate_edge_tol(tol)
     peak = np.abs(values).max()
     if peak == 0.0:
         return
@@ -91,16 +113,27 @@ def momentum_wavefunction(
     """Momentum wavefunction phibar(p) = integral of psi(x) exp(+i x p/hbar) dx.
 
     Direct trapezoid quadrature on the sampling grid, evaluated at every
-    point of ``p_grid``. Returns a complex array of length ``p_grid.n``.
+    point of ``p_grid``. The kernel is formed for a fixed-size block of p at
+    a time in one reused buffer, so the scratch is O(n * block) rather than
+    one dense n x n_p kernel. Returns a complex array of length ``p_grid.n``.
     """
     _check_edge_decay(psi.values, edge_tol, on_truncation, "momentum transform")
     x = psi.grid.points()
     p = p_grid.points()
-    weights = np.full(psi.grid.n, psi.grid.spacing)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    kernel = np.exp(1j * np.outer(x, p) / hbar)
-    return (psi.values * weights) @ kernel
+    weighted = psi.values * _trapezoid_weights(psi.grid)
+    phibar = np.empty(p.size, dtype=complex)
+    # one kernel buffer for all blocks: fresh n x block temporaries go back to
+    # the OS after each block, and faulting them in again costs more than the
+    # exponentials once n >= 2048
+    buffer = np.empty((x.size, min(p.size, _P_BLOCK)), dtype=complex)
+    for start in range(0, p.size, _P_BLOCK):
+        block = slice(start, start + _P_BLOCK)
+        kernel = buffer[:, : p[block].size]
+        np.multiply.outer(x, p[block], out=kernel)
+        kernel *= 1j  # in two steps: the rounding of exp(1j * outer(x, p) / hbar)
+        kernel /= hbar
+        phibar[block] = weighted @ np.exp(kernel, out=kernel)
+    return phibar
 
 
 def wigner_transform(
@@ -120,14 +153,17 @@ def wigner_transform(
     only lags k >= 0 are formed and the result is real by construction.
 
     The lag lattice halves the usable bandwidth: every requested momentum
-    must satisfy |p| <= pi hbar / (2 dx). The x-integral of W must match
-    |phibar(p)|^2 from the independent momentum transform (which also
-    applies ``edge_tol`` and ``on_truncation``) to 1e-2 of its peak;
+    must satisfy |p| <= pi hbar / (2 dx). At every p, the x-integral of W
+    must match |phibar(p)|^2 from the independent momentum transform (which
+    also applies ``edge_tol`` and ``on_truncation``) to 1e-2 of its peak;
     otherwise the kernel sign is wrong or the x grid too coarse, and
     ConventionViolationError is raised.
 
-    Fixed-order dense matrix products evaluate all rows, so repeated runs
-    are bit-identical.
+    The lag products are kept as two contiguous real n x n/2 arrays and the
+    kernel is formed for one fixed-size block of p at a time, so besides the
+    returned field and the lag products the scratch is O(n * block); no
+    dense n x n_p kernel is built. Fixed-order matrix products over fixed
+    blocks evaluate all rows, so repeated runs are bit-identical.
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
@@ -143,19 +179,30 @@ def wigner_transform(
             f"bandwidth pi*hbar/(2*dx) = {p_bound:g}; refine the x grid"
         )
 
+    # the guard's reference first, while no n x n_p array is held yet
+    phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol, on_truncation=on_truncation)
+
     half = (n + 1) // 2  # lags k >= n/2 leave the grid on every row
-    g = np.zeros((n, half), dtype=complex)
+    g_re = np.zeros((n, half))
+    g_im = np.zeros((n, half))
     conj = np.conj(psi.values)
     for k in range(half):
-        g[k : n - k, k] = conj[: n - 2 * k] * psi.values[2 * k :]
-    g[:, 0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
-    theta = (2 * dx / hbar) * np.outer(np.arange(half), p)
-    w = 4 * dx * (g.real @ np.cos(theta) - g.imag @ np.sin(theta))
+        product = conj[: n - 2 * k] * psi.values[2 * k :]
+        g_re[k : n - k, k] = product.real
+        g_im[k : n - k, k] = product.imag
+    g_re[:, 0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
+    g_im[:, 0] *= 0.5
+    lags = np.arange(half)
+    w = np.empty((n, p.size))
+    for start in range(0, p.size, _P_BLOCK):
+        block = slice(start, start + _P_BLOCK)
+        theta = (2 * dx / hbar) * np.outer(lags, p[block])
+        w[:, block] = 4 * dx * (g_re @ np.cos(theta) - g_im @ np.sin(theta))
+    del g_re, g_im  # not held while WignerField copies w
 
-    phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol, on_truncation=on_truncation)
     density = np.abs(phibar) ** 2
     peak = density.max()
-    mismatch = np.abs(np.trapezoid(w, psi.grid.points(), axis=0) - density).max()
+    mismatch = np.abs(_trapezoid_weights(psi.grid) @ w - density).max()
     if mismatch > _MARGINAL_TOL * peak:
         raise ConventionViolationError(
             f"Wigner transform: x-integral differs from |phibar(p)|^2 by {mismatch:.3e}, "
@@ -182,18 +229,20 @@ def propagate_free(
 
     The grid must hold the packet both before and after flight (the
     envelope widens to roughly the propagated width); either failure
-    raises TruncationError. An ``edge_tol`` below the FFT roundoff floor
-    (1e-15 of peak), which no window could meet, raises ValueError.
+    raises TruncationError. An ``edge_tol`` below the FFT roundoff floor,
+    which no window could meet, raises ValueError. The floor is 1e-15 of
+    peak up to 4096 points and grows in proportion to n beyond.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if edge_tol < _FFT_ROUNDOFF_FLOOR:
+    n = psi.grid.n
+    floor = _fft_roundoff_floor(n)
+    if edge_tol < floor:
         raise ValueError(
-            f"edge_tol {edge_tol:.1e} is below the FFT roundoff floor {_FFT_ROUNDOFF_FLOOR:.0e} "
-            "of free propagation; its output edge check could not pass"
+            f"edge_tol {edge_tol:.1e} is below the FFT roundoff floor {floor:.3g} "
+            f"of free propagation on {n} points; its output edge check could not pass"
         )
     _check_edge_decay(psi.values, edge_tol, on_truncation, "free propagation (input)")
-    n = psi.grid.n
     p = 2 * math.pi * hbar * np.fft.fftfreq(n, d=psi.grid.spacing)
     evolved = np.fft.fft(np.fft.ifft(psi.values) * np.exp(1j * alpha * p**2 / (2 * hbar)))
     _check_edge_decay(evolved, edge_tol, on_truncation, "free propagation (output)")
@@ -233,10 +282,8 @@ def field_marginals(
     exp(-16) of peak on the standard P window). A kernel-sign error need not
     drive a marginal negative; wigner_transform checks for it instead.
     """
-    x = field.grid.x_axis.points()
-    p = field.grid.p_axis.points()
-    pos = np.trapezoid(field.values, p, axis=1) / (2 * math.pi * hbar)
-    mom = np.trapezoid(field.values, x, axis=0)
+    pos = field.values @ _trapezoid_weights(field.grid.p_axis) / (2 * math.pi * hbar)
+    mom = _trapezoid_weights(field.grid.x_axis) @ field.values
 
     curves = []
     for label, grid, values in (

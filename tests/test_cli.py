@@ -198,11 +198,13 @@ def test_simulate_numeric_undersampled_grid_exit_code(tmp_path, capsys):
     assert "phibar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
-def test_simulate_rejects_edge_tol_outside_unit_interval(tmp_path, capsys, tol):
-    # nan would pass every edge test (edge >= nan is false); -1 and 0 are
-    # usage errors, not guard failures
-    code = run("simulate", "--d", "5", "--engine", "numeric", "--edge-tol", tol,
+def test_simulate_rejects_edge_tol_outside_unit_interval(tmp_path, capsys, tol, engine):
+    # nan would pass every edge test (edge >= nan is false) and is not valid
+    # JSON in the manifest; -1 and 0 are usage errors, not guard failures.
+    # The analytic engine never checks edges, so it must be refused up front.
+    code = run("simulate", "--d", "5", "--engine", engine, "--edge-tol", tol,
                "--out", str(tmp_path), *SMALL)
     assert code == 2
     assert "edge_tol must be finite and in (0, 1]" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,68 @@ def test_wigner_transform_total_mass():
     assert mass == pytest.approx(norm, rel=1e-8)
 
 
+def _dense_transforms(psi, p_grid, hbar):
+    # the unblocked formulas, one n x n_p kernel each: the reference for p blocking
+    n, dx = psi.grid.n, psi.grid.spacing
+    x, p = psi.grid.points(), p_grid.points()
+    weights = np.full(n, dx)
+    weights[[0, -1]] *= 0.5
+    phibar = (psi.values * weights) @ np.exp(1j * np.outer(x, p) / hbar)
+    half = (n + 1) // 2
+    g = np.zeros((n, half), dtype=complex)
+    conj = np.conj(psi.values)
+    for k in range(half):
+        g[k : n - k, k] = conj[: n - 2 * k] * psi.values[2 * k :]
+    g[:, 0] *= 0.5
+    theta = (2 * dx / hbar) * np.outer(np.arange(half), p)
+    return 4 * dx * (g.real @ np.cos(theta) - g.imag @ np.sin(theta)), phibar
+
+
+BLOCK = wigslits.numeric._P_BLOCK
+
+
+@pytest.mark.parametrize("n_p", [BLOCK // 2, BLOCK, BLOCK + 1, 2 * BLOCK + BLOCK // 3])
+def test_blocked_transforms_match_dense_formula(n_p):
+    # below, at, one past and not a multiple of the block size
+    params = SlitPairParams(x0=1.0, d=5.0, delta=4.0, hbar=0.5)
+    x_grid = Grid1D(min=-12.0, max=12.0, n=300)
+    p_grid = Grid1D(min=-2.0, max=2.0, n=n_p)
+    psi = sample_wavefunction(params, x_grid)
+    dense_w, dense_phibar = _dense_transforms(psi, p_grid, params.hbar)
+
+    field = wigner_transform(psi, p_grid, params.hbar)
+    phibar = momentum_wavefunction(psi, p_grid, params.hbar)
+    assert np.max(np.abs(field.values - dense_w)) <= 1e-14 * np.abs(dense_w).max()
+    assert np.max(np.abs(phibar - dense_phibar)) <= 1e-14 * np.abs(dense_phibar).max()
+
+    assert np.array_equal(wigner_transform(psi, p_grid, params.hbar).values, field.values)
+    assert np.array_equal(momentum_wavefunction(psi, p_grid, params.hbar), phibar)
+
+
+def _traced_peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transforms_hold_no_dense_kernel():
+    # dense n x n_p kernels peak at 4x the field in the momentum transform
+    # (complex exp and its argument) and 6.5x in the Wigner transform; p
+    # blocks leave 0.53x (one reused n x block complex kernel) and 2.8x
+    # (field, its copy into WignerField and the lag products, which are
+    # freed before that copy)
+    n = 1024
+    grid = Grid1D(min=-12.0, max=12.0, n=n)
+    p_grid = Grid1D(min=-4.0, max=4.0, n=n)
+    psi = sample_wavefunction(normalized_params(delta=4.0), grid)
+    field_bytes = n * n * np.dtype(float).itemsize
+    assert _traced_peak_bytes(lambda: wigner_transform(psi, p_grid, 1.0)) <= 3 * field_bytes
+    assert _traced_peak_bytes(lambda: momentum_wavefunction(psi, p_grid, 1.0)) <= 0.75 * field_bytes
+
+
 def test_interference_term_is_localized_between_the_slits():
     # pair field minus the two single-slit fields leaves only the
     # oscillatory midpoint term; beyond |x| >= 5 x0 it is negligible
@@ -247,6 +310,19 @@ def test_propagate_truncation_guard():
         propagate_free(psi, 6.0, 1.0)
     with pytest.raises(ValueError):
         propagate_free(psi, -1.0, 1.0)
+
+
+def test_propagate_roundoff_floor_grows_with_n():
+    # on 16384 points the FFT round trip leaves 1.8e-15 of peak at the edges
+    # (alpha = 6), above the 1e-15 floor that holds up to 4096 points
+    grid = Grid1D(min=-120.0, max=120.0, n=16384)
+    psi = sample_wavefunction(normalized_params(), grid)
+    floor = wigslits.numeric._fft_roundoff_floor(grid.n)
+    assert floor == pytest.approx(4e-15)
+    assert wigslits.numeric._fft_roundoff_floor(4096) == 1e-15
+    with pytest.raises(ValueError, match="roundoff floor 4e-15 of free propagation on 16384 points"):
+        propagate_free(psi, 6.0, 1.0, edge_tol=1e-15)
+    propagate_free(psi, 6.0, 1.0, edge_tol=floor)
 
 
 def test_momentum_density_is_flight_invariant():
