@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .analysis import (
     common_projection_interval,
+    common_support_interval,
     find_fringe_maxima,
     fringe_period,
     fringe_shift,
@@ -22,6 +23,7 @@ from .analytic import (
     phase_from_voltage_pulses,
     position_marginal_propagated,
     single_slit_field,
+    single_slit_marginal,
     two_slit_field,
     wigner_single_slit,
     wigner_two_slit,
@@ -71,6 +73,7 @@ __all__ = [
     "single_slit_field",
     "momentum_marginal",
     "position_marginal_propagated",
+    "single_slit_marginal",
     "phase_from_flux",
     "phase_from_voltage_pulses",
     "phase_from_magnetic_pulses",
@@ -83,5 +86,6 @@ __all__ = [
     "find_fringe_maxima",
     "fringe_period",
     "fringe_shift",
+    "common_support_interval",
     "common_projection_interval",
 ]

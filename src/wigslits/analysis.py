@@ -25,12 +25,14 @@ import numpy as np
 
 from .errors import AnalysisError
 from .model import MarginalCurve, WignerField
+from .numeric import field_marginals
 
 __all__ = [
     "DEFAULT_MIN_PROMINENCE",
     "find_fringe_maxima",
     "fringe_period",
     "fringe_shift",
+    "common_support_interval",
     "common_projection_interval",
 ]
 
@@ -47,7 +49,7 @@ def find_fringe_maxima(curve: MarginalCurve, min_prominence: float) -> List[floa
     the parabola through it and its two neighbors. Returns an ascending
     list; empty when the curve has no prominent peaks (e.g. it is flat).
     """
-    if min_prominence < 0:
+    if not min_prominence >= 0:
         raise ValueError(f"min_prominence must be >= 0, got {min_prominence}")
     values = curve.values
     peak = values.max()
@@ -254,48 +256,57 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     return float(dphi / omega)
 
 
+def common_support_interval(
+    curve1: MarginalCurve,
+    curve2: MarginalCurve,
+    threshold: float,
+) -> Optional[Tuple[float, float]]:
+    """Interval where both curves are at or above threshold * (own max).
+
+    Keeps the grid points where each curve reaches ``threshold`` of its own
+    maximum and intersects the two supports. Returns None when the supports
+    do not overlap or a curve is zero everywhere. For the single-slit
+    projections of a slit pair, this is the interval where interference
+    between the two beams can show up along that axis.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if curve1.grid != curve2.grid:
+        raise ValueError("curves must share the same grid")
+    if curve1.axis_label != curve2.axis_label:
+        raise ValueError(f"curves lie on different axes: {curve1.axis_label!r}, {curve2.axis_label!r}")
+
+    coords = curve1.grid.points()
+    lo, hi = coords[0], coords[-1]
+    for curve in (curve1, curve2):
+        peak = curve.values.max()
+        if peak <= 0:
+            return None
+        # never empty: the peak itself is at or above threshold * peak
+        above = coords[curve.values >= threshold * peak]
+        lo = max(lo, above[0])
+        hi = min(hi, above[-1])
+    if lo > hi:
+        return None
+    return float(lo), float(hi)
+
+
 def common_projection_interval(
     field1: WignerField,
     field2: WignerField,
     axis: str,
     threshold: float,
 ) -> Optional[Tuple[float, float]]:
-    """Axis interval where both fields project above threshold * (own max).
+    """:func:`common_support_interval` of the projections of two fields onto ``axis``.
 
-    Projects each field onto ``axis`` ('position' or 'momentum'), keeps the
-    coordinates where each projection is at least ``threshold`` of its own
-    maximum, and intersects the two supports. Returns None when the
-    supports do not overlap. This is the interval where interference
-    between the two states can show up along that axis.
+    ``axis`` is 'position' or 'momentum'; the fields are projected by
+    :func:`wigslits.numeric.field_marginals`, whose normalization the
+    relative threshold makes irrelevant.
     """
     if axis not in ("position", "momentum"):
         raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if field1.grid != field2.grid:
         raise ValueError("fields must share the same grid")
-
-    # The relative threshold makes normalization factors irrelevant, so a
-    # plain trapezoid projection suffices for both axes.
-    if axis == "position":
-        coords = field1.grid.x_axis.points()
-        other = field1.grid.p_axis.points()
-        projections = [np.trapezoid(f.values, other, axis=1) for f in (field1, field2)]
-    else:
-        coords = field1.grid.p_axis.points()
-        other = field1.grid.x_axis.points()
-        projections = [np.trapezoid(f.values, other, axis=0) for f in (field1, field2)]
-
-    lo, hi = coords[0], coords[-1]
-    for proj in projections:
-        peak = proj.max()
-        if peak <= 0:
-            return None
-        above = coords[proj >= threshold * peak]
-        if above.size == 0:
-            return None
-        lo = max(lo, above[0])
-        hi = min(hi, above[-1])
-    if lo > hi:
-        return None
-    return float(lo), float(hi)
+    which = 0 if axis == "position" else 1
+    curve1, curve2 = (field_marginals(f)[which] for f in (field1, field2))
+    return common_support_interval(curve1, curve2, threshold)

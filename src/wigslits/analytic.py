@@ -33,6 +33,7 @@ __all__ = [
     "wigner_single_slit",
     "momentum_marginal",
     "position_marginal_propagated",
+    "single_slit_marginal",
     "two_slit_field",
     "single_slit_field",
     "phase_from_flux",
@@ -49,8 +50,10 @@ class FluxSpec:
     phi0: float
 
     def __post_init__(self):
-        if not self.phi0 > 0:
-            raise ValueError(f"flux quantum must be > 0, got {self.phi0}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"flux must be finite, got {self.phi!r}")
+        if not (math.isfinite(self.phi0) and self.phi0 > 0):
+            raise ValueError(f"flux quantum must be finite and > 0, got {self.phi0!r}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,29 @@ def position_marginal_propagated(params: SlitPairParams, x):
     return (x0 / big) * (slits + cross)
 
 
+def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 1):
+    """Projection of one slit's (propagated) Wigner field onto ``axis``.
+
+    The 1-D counterpart of :func:`single_slit_field`, on the scale of the
+    two-slit marginals: averaged over delta, each of those is the sum of
+    the two single-slit projections.
+
+    * momentum: 2 pi x0^2 exp(-p^2 x0^2/hbar^2), the same for both slits
+      and, since free flight only shears along x, for every alpha;
+    * position: (x0/X) exp(-(x - slit d)^2/X^2), X the propagated width.
+    """
+    if slit not in (1, -1):
+        raise ValueError(f"slit must be +1 or -1, got {slit}")
+    coords = np.asarray(coords, dtype=float)
+    x0 = params.x0
+    if axis == "momentum":
+        return 2 * math.pi * x0**2 * np.exp(-(coords * x0 / params.hbar) ** 2)
+    if axis == "position":
+        big = propagated_width(params)
+        return (x0 / big) * np.exp(-((coords - slit * params.d) / big) ** 2)
+    raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
+
+
 def two_slit_field(params: SlitPairParams, grid: Grid2D) -> WignerField:
     """Sample the (propagated) two-slit Wigner field on a phase-space grid."""
     x = grid.x_axis.points()[:, None]
@@ -167,6 +193,8 @@ def phase_from_flux(flux: FluxSpec) -> float:
 
 
 def _pulse_phase(path1: PulseSeries, path2: PulseSeries, scale: float) -> float:
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     return float(scale) * (path1.integral() - path2.integral())
 
 

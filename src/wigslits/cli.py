@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_MIN_PROMINENCE,
-    common_projection_interval,
+    common_support_interval,
     find_fringe_maxima,
     fringe_period,
     fringe_shift,
@@ -39,7 +39,7 @@ from .analytic import (
     phase_from_magnetic_pulses,
     phase_from_voltage_pulses,
     position_marginal_propagated,
-    single_slit_field,
+    single_slit_marginal,
     two_slit_field,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
@@ -49,7 +49,6 @@ from .model import (
     Grid2D,
     MarginalCurve,
     SlitPairParams,
-    WignerField,
     propagated_width,
 )
 from .numeric import (
@@ -243,25 +242,17 @@ def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Opt
 
     # curves carry normalized coordinates so reports match the CSV files
     if args.axis == "momentum":
-        norm_axis, raw_pts = p_norm, p_raw.points()
-        cur = momentum_marginal(params, raw_pts)
-        ref = momentum_marginal(reference_params, raw_pts)
+        norm_axis, raw_pts, marginal = p_norm, p_raw.points(), momentum_marginal
     else:
-        norm_axis, raw_pts = x_norm, x_raw.points()
-        cur = position_marginal_propagated(params, raw_pts)
-        ref = position_marginal_propagated(reference_params, raw_pts)
-    curve = MarginalCurve(axis_label=args.axis, grid=norm_axis, values=cur)
-    reference = MarginalCurve(axis_label=args.axis, grid=norm_axis, values=ref)
+        norm_axis, raw_pts, marginal = x_norm, x_raw.points(), position_marginal_propagated
 
-    raw_grid2d, norm_grid2d = Grid2D(x_raw, p_raw), Grid2D(x_norm, p_norm)
-    slit_fields = [
-        WignerField(grid=norm_grid2d, values=single_slit_field(params, raw_grid2d, s).values)
-        for s in (1, -1)
-    ]
-    interval = common_projection_interval(
-        slit_fields[0], slit_fields[1], args.axis, args.pattern_threshold
-    )
-    return curve, reference, interval
+    def curve(values: np.ndarray) -> MarginalCurve:
+        return MarginalCurve(axis_label=args.axis, grid=norm_axis, values=values)
+
+    # the pattern lies where both single-slit projections carry weight
+    slit1, slit2 = (curve(single_slit_marginal(params, args.axis, raw_pts, s)) for s in (1, -1))
+    interval = common_support_interval(slit1, slit2, args.pattern_threshold)
+    return curve(marginal(params, raw_pts)), curve(marginal(reference_params, raw_pts)), interval
 
 
 def cmd_fringes(args) -> int:

@@ -39,6 +39,12 @@ DEFAULT_EDGE_DECAY_TOL = 1e-10
 # flipped kernel sign reads >= 0.7 unless delta is a multiple of pi.
 _MARGINAL_TOL = 1e-2
 
+# Negative dip a field marginal may show, relative to its peak, before the
+# field counts as invalid. It absorbs the ~1e-8 artifact of truncating the
+# oscillatory interference term at a window edge (about exp(-16) of peak on
+# the standard P window).
+_NEG_TOL = 1e-7
+
 # Momentum columns the transforms evaluate per block. Their scratch is
 # O(n * _P_BLOCK) whatever n_p is, and a fixed block keeps reruns bit-identical.
 _P_BLOCK = 256
@@ -264,22 +270,15 @@ def shear_field(field: WignerField, alpha: float) -> WignerField:
     return WignerField(grid=field.grid, values=out)
 
 
-def field_marginals(
-    field: WignerField,
-    hbar: float = 1.0,
-    *,
-    neg_tol: float = 1e-7,
-) -> Tuple[MarginalCurve, MarginalCurve]:
+def field_marginals(field: WignerField, hbar: float = 1.0) -> Tuple[MarginalCurve, MarginalCurve]:
     """Project a Wigner field onto its axes.
 
     position density = (1 / 2 pi hbar) * integral over p,
     momentum density = integral over x,
-    both by trapezoid quadrature. Small negatives above -neg_tol of the
-    curve peak are clamped to zero; anything more negative raises
-    ConventionViolationError (the field is not a valid Wigner function on
-    this grid). The default tolerance absorbs the ~1e-8 artifact of
-    truncating the oscillatory interference term at a window edge (about
-    exp(-16) of peak on the standard P window). A kernel-sign error need not
+    both by trapezoid quadrature. Negatives within ``_NEG_TOL`` of the curve
+    peak (window-edge truncation of the interference term) are clamped to
+    zero; anything more negative raises ConventionViolationError (the field is
+    not a valid Wigner function on this grid). A kernel-sign error need not
     drive a marginal negative; wigner_transform checks for it instead.
     """
     pos = field.values @ _trapezoid_weights(field.grid.p_axis) / (2 * math.pi * hbar)
@@ -293,10 +292,10 @@ def field_marginals(
         peak = values.max()
         floor = values.min()
         if floor < 0:
-            if peak <= 0 or floor < -neg_tol * peak:
+            if peak <= 0 or floor < -_NEG_TOL * peak:
                 raise ConventionViolationError(
                     f"{label} marginal dips to {floor:.3e} "
-                    f"(beyond -{neg_tol:.0e} of peak {peak:.3e})"
+                    f"(beyond -{_NEG_TOL:.0e} of peak {peak:.3e})"
                 )
             values = np.clip(values, 0.0, None)
         curves.append(MarginalCurve(axis_label=label, grid=grid, values=values))

@@ -13,6 +13,7 @@ from wigslits import (
     Grid2D,
     MarginalCurve,
     common_projection_interval,
+    common_support_interval,
     find_fringe_maxima,
     fringe_period,
     fringe_shift,
@@ -20,6 +21,7 @@ from wigslits import (
     normalized_params,
     position_marginal_propagated,
     single_slit_field,
+    single_slit_marginal,
 )
 from wigslits.analysis import _bounded_minimum, _prominent_peaks
 
@@ -75,9 +77,10 @@ def test_find_fringe_maxima_single_gaussian():
     assert found[0] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_find_fringe_maxima_rejects_negative_prominence():
+@pytest.mark.parametrize("prominence", [-0.1, math.nan])
+def test_find_fringe_maxima_rejects_negative_prominence(prominence):
     with pytest.raises(ValueError):
-        find_fringe_maxima(_p_curve(0.0), -0.1)
+        find_fringe_maxima(_p_curve(0.0), prominence)
 
 
 def test_find_fringe_maxima_ascending():
@@ -211,6 +214,12 @@ def _slit_fields(alpha=0.0, delta=0.0):
     return (single_slit_field(params, GRID_2D, 1), single_slit_field(params, GRID_2D, -1))
 
 
+def _slit_curves(params, axis, grid):
+    return tuple(
+        MarginalCurve(axis, grid, single_slit_marginal(params, axis, grid.points(), s)) for s in (1, -1)
+    )
+
+
 def test_pattern_interval_position_empty_before_flight():
     # slit supports e^{-(x -+ 5)^2} >= e^-9 are [2, 8] and [-8, -2]: disjoint
     f1, f2 = _slit_fields(alpha=0.0)
@@ -260,3 +269,31 @@ def test_pattern_interval_validation():
     mismatched = single_slit_field(normalized_params(), other, 1)
     with pytest.raises(ValueError):
         common_projection_interval(f1, mismatched, "position", 0.5)
+
+    params = normalized_params()
+    c1, c2 = _slit_curves(params, "momentum", P_AXIS)
+    for threshold in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            common_support_interval(c1, c2, threshold)
+    other_grid = Grid1D(min=-4.0, max=4.0, n=257)
+    with pytest.raises(ValueError):
+        common_support_interval(c1, _slit_curves(params, "momentum", other_grid)[1], 0.5)
+    same_grid_other_axis = MarginalCurve("position", P_AXIS, c2.values)
+    with pytest.raises(ValueError):
+        common_support_interval(c1, same_grid_other_axis, 0.5)
+    with pytest.raises(ValueError):
+        single_slit_marginal(params, "momentum", P_AXIS.points(), slit=0)
+    with pytest.raises(ValueError):
+        single_slit_marginal(params, "diagonal", P_AXIS.points())
+
+
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+@pytest.mark.parametrize("alpha", [0.0, 3.0, 6.0, 12.0])
+def test_pattern_interval_curve_route_equals_field_route(alpha, axis):
+    # the x window holds the sheared slit fields at every alpha, so the
+    # sampled fields project onto the closed-form single-slit curves
+    wide = Grid1D(min=-64.0, max=64.0, n=2049)
+    params = normalized_params(alpha=alpha)
+    fields = [single_slit_field(params, Grid2D(wide, P_AXIS), s) for s in (1, -1)]
+    curves = _slit_curves(params, axis, wide if axis == "position" else P_AXIS)
+    assert common_support_interval(*curves, E_MINUS_9) == common_projection_interval(*fields, axis, E_MINUS_9)

@@ -17,6 +17,7 @@ from wigslits import (
     phase_from_voltage_pulses,
     position_marginal_propagated,
     propagated_width,
+    single_slit_marginal,
     wigner_single_slit,
     wigner_two_slit,
     wigner_two_slit_propagated,
@@ -240,6 +241,25 @@ def test_position_marginal_identity_cross_check_by_quadrature():
     assert val == pytest.approx(position_marginal_propagated(params, x), abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 6.0])
+@pytest.mark.parametrize(
+    "axis, marginal, coords",
+    [
+        pytest.param("momentum", momentum_marginal, np.linspace(-4.0, 4.0, 257), id="momentum"),
+        pytest.param("position", position_marginal_propagated, np.linspace(-24.0, 24.0, 257), id="position"),
+    ],
+)
+def test_pattern_comes_from_the_single_slits(alpha, axis, marginal, coords):
+    # averaged over the phase, the interference term drops out of either
+    # marginal and the single-slit projections alone remain
+    for delta in (0.0, 1.3, 4.0):
+        params = normalized_params(alpha=alpha, delta=delta)
+        opposite = normalized_params(alpha=alpha, delta=delta + math.pi)
+        averaged = marginal(params, coords) + marginal(opposite, coords)
+        slits = 2 * sum(single_slit_marginal(params, axis, coords, s) for s in (1, -1))
+        np.testing.assert_allclose(averaged, slits, rtol=0, atol=1e-14 * slits.max())
+
+
 def test_closed_forms_in_raw_units():
     # unit handling: same checks away from x0 = hbar = 1
     params = SlitPairParams(x0=2.0, d=10.0, delta=1.0, hbar=0.5)
@@ -267,7 +287,7 @@ def test_phase_from_flux():
     assert phase_from_flux(FluxSpec(phi=0.5, phi0=1.0)) == pytest.approx(math.pi, rel=1e-15)
 
 
-@pytest.mark.parametrize("phi0", [0.0, -1.0])
+@pytest.mark.parametrize("phi0", [0.0, -1.0, math.inf, math.nan])
 def test_flux_quantum_must_be_positive(phi0):
     with pytest.raises(ValueError):
         FluxSpec(phi=1.0, phi0=phi0)

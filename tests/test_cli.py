@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,30 @@ def test_fringes_position_axis_after_flight(capsys):
     assert report["pattern_interval"] is not None  # flight opens the x pattern
 
 
+def test_fringes_momentum_pattern_is_flight_invariant(capsys):
+    # the momentum density does not change in free flight, so neither does its pattern
+    intervals = []
+    for alpha in ("0", "3", "6", "12"):
+        assert run("fringes", "--axis", "momentum", "--delta", "4", "--alpha", alpha) == 0
+        intervals.append(json.loads(capsys.readouterr().out)["pattern_interval"])
+    assert intervals == [intervals[0]] * 4
+    assert intervals[0][1] == pytest.approx(3.0, abs=2 * 8 / 511)
+
+
+def test_fringes_builds_no_phase_space_field(capsys):
+    # a 512 x 512 float array alone would take 2 MiB
+    argv = ["fringes", "--axis", "momentum"]
+    assert run(*argv) == 0  # first call outside the trace: lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 512 * 512 * 8
+
+
 def test_fringes_identical_inputs(capsys):
     assert run("fringes", "--axis", "momentum", "--delta", "4", "--ref-delta", "4") == 0
     report = json.loads(capsys.readouterr().out)
@@ -336,6 +361,21 @@ def test_phase_malformed_pulse_csv(tmp_path, capsys):
     assert run("phase", "--electric", str(bad), str(bad), "--scale", "1") == 2
     bad.write_text("t,value\n0,1\nnot,a,row\n")
     assert run("phase", "--electric", str(bad), str(bad), "--scale", "1") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--flux", "nan", "--flux-quantum", "1"],
+        ["--flux", "1", "--flux-quantum", "inf"],
+        ["--electric", "{pulse}", "{pulse}", "--scale", "nan"],
+    ],
+    ids=["flux-nan", "flux-quantum-inf", "scale-nan"],
+)
+def test_phase_rejects_non_finite_input(tmp_path, capsys, argv):
+    pulse = _pulse_file(tmp_path / "pulse.csv", [(0.0, 1.0), (1.0, 1.0)])
+    assert run("phase", *(a.format(pulse=pulse) for a in argv)) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_phase_flag_validation(capsys):
