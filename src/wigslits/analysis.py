@@ -200,14 +200,14 @@ def _windowed_component(curve: MarginalCurve, omega: float) -> complex:
     return complex(np.sum(w * curve.values * np.exp(-1j * omega * g)) * curve.grid.spacing)
 
 
-def _comb_frequency(curve: MarginalCurve) -> float:
+def _comb_frequency(curve: MarginalCurve, maxima: List[float]) -> float:
     """Angular frequency of the fringe comb.
 
-    Seeded by the median spacing of prominent maxima, then refined by
-    maximizing the windowed Fourier magnitude, which is immune to the
-    envelope pull on individual peak positions.
+    Seeded by the median spacing of ``maxima``, the curve's prominent maxima
+    as the caller found them, then refined by maximizing the windowed
+    Fourier magnitude, which is immune to the envelope pull on individual
+    peak positions.
     """
-    maxima = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE)
     if len(maxima) < 3:
         raise AnalysisError(f"need >= 3 fringe maxima to estimate a period, found {len(maxima)}")
     omega0 = 2 * np.pi / float(np.median(np.diff(maxima)))
@@ -218,7 +218,7 @@ def _comb_frequency(curve: MarginalCurve) -> float:
 
 def fringe_period(curve: MarginalCurve) -> float:
     """Spacing of consecutive fringe maxima (2 pi over the comb frequency)."""
-    return 2 * np.pi / _comb_frequency(curve)
+    return 2 * np.pi / _comb_frequency(curve, find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE))
 
 
 def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
@@ -242,7 +242,7 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
 
     try:
-        omega = _comb_frequency(reference)
+        omega = _comb_frequency(reference, ref_maxima)
     except AnalysisError:
         centroid = _envelope_centroid(reference)
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))

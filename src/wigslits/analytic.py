@@ -189,13 +189,20 @@ def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> Wi
 
 def phase_from_flux(flux: FluxSpec) -> float:
     """Aharonov-Bohm phase of a charge e encircling magnetic flux: 2 pi phi / phi0."""
-    return 2 * math.pi * flux.phi / flux.phi0
+    delta = 2 * math.pi * flux.phi / flux.phi0
+    if not math.isfinite(delta):
+        raise ValueError(f"phase overflows for flux {flux.phi!r} and flux quantum {flux.phi0!r}")
+    return delta
 
 
 def _pulse_phase(path1: PulseSeries, path2: PulseSeries, scale: float) -> float:
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
-    return float(scale) * (path1.integral() - path2.integral())
+    integral1, integral2 = path1.integral(), path2.integral()
+    delta = float(scale) * (integral1 - integral2)
+    if not math.isfinite(delta):
+        raise ValueError(f"phase overflows for scale {scale!r} and pulse integrals {integral1!r}, {integral2!r}")
+    return delta
 
 
 def phase_from_voltage_pulses(path1: PulseSeries, path2: PulseSeries, e_over_hbar: float) -> float:

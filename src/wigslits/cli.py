@@ -69,10 +69,6 @@ _EXIT_ANALYSIS = 4
 # ---------------------------------------------------------------- helpers
 
 
-# rows formatted per write: bounds the text held in memory at any grid size
-_CSV_BLOCK_ROWS = 8192
-
-
 def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
     """Stream chunks to a temp file, rename it over ``path``; return the sha256 of the bytes."""
     digest = hashlib.sha256()
@@ -91,18 +87,22 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: str, *columns: np.ndarray) -> dict:
-    # shortest round-trip decimals keep files byte-reproducible and let a
-    # reader recover the exact floats; returns the file's manifest entry
-    rows = max(map(len, columns))  # a shorter column makes zip(strict=True) raise
+def _write_csv(path: Path, header: str, values: np.ndarray, *axes: np.ndarray) -> dict:
+    # one row per sample of values over the product of axes (a curve's axis, or
+    # x then p): coordinates first, the first axis slowest, each axis point
+    # formatted once. Shortest round-trip decimals keep files byte-reproducible
+    # and let a reader recover the exact floats. Returns the manifest entry.
+    *outer, inner = axes
+    prefixes = [repr(c) + "," for c in outer[0].tolist()] if outer else [""]
+    cells = [repr(c) + "," for c in inner.tolist()]
+    rows = values.reshape(len(prefixes), len(cells))  # raises unless the axes span values
 
-    def chunks():
+    def chunks():  # one grid row of text per x bounds the text held; a curve is one chunk
         yield header + "\n"
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            cells = [map(repr, col[start : start + _CSV_BLOCK_ROWS].tolist()) for col in columns]
-            yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+        for prefix, row in zip(prefixes, rows):
+            yield "".join(f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, row.tolist()))
 
-    return {"path": path.name, "sha256": _write_atomic(path, chunks()), "rows": rows}
+    return {"path": path.name, "sha256": _write_atomic(path, chunks()), "rows": values.size}
 
 
 def _read_two_column_csv(path: str, expected_header: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -196,11 +196,9 @@ def cmd_simulate(args) -> int:
     xs = x_norm.points()
     ps = p_norm.points()
     files = {
-        "wigner": _write_csv(
-            out / "wigner.csv", "x,p,w", np.repeat(xs, ps.size), np.tile(ps, xs.size), field_values.ravel()
-        ),
-        "xmarginal": _write_csv(out / "xmarginal.csv", "coord,value", xs, x_density),
-        "pmarginal": _write_csv(out / "pmarginal.csv", "coord,value", ps, p_density),
+        "wigner": _write_csv(out / "wigner.csv", "x,p,w", field_values, xs, ps),
+        "xmarginal": _write_csv(out / "xmarginal.csv", "coord,value", x_density, xs),
+        "pmarginal": _write_csv(out / "pmarginal.csv", "coord,value", p_density, ps),
     }
 
     manifest = {

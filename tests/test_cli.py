@@ -20,11 +20,14 @@ from wigslits import (
     fringe_shift,
     momentum_marginal,
     normalized_params,
+    position_marginal_propagated,
     sample_wavefunction,
     wigner_transform,
     wigner_two_slit_propagated,
 )
-from wigslits.cli import _CSV_BLOCK_ROWS, _write_atomic, main
+import wigslits.analysis
+import wigslits.cli
+from wigslits.cli import _write_atomic, _write_csv, main
 
 SMALL = ["--nx", "64", "--np", "64"]
 
@@ -107,9 +110,8 @@ def test_simulate_determinism(tmp_path, engine):
 
 
 def test_simulate_csv_bytes_match_row_by_row_reference(tmp_path):
-    # 97 * 101 rows span more than one formatting block; the reference is the
+    # 97 * 101 rows span one formatting chunk per x; the reference is the
     # plain per-row loop over the closed form
-    assert 97 * 101 > _CSV_BLOCK_ROWS
     assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4", "--nx", "97", "--np", "101",
                "--out", str(tmp_path)) == 0
     xs = Grid1D(min=-12.0, max=12.0, n=97).points()
@@ -119,6 +121,37 @@ def test_simulate_csv_bytes_match_row_by_row_reference(tmp_path):
         f"{float(x)!r},{float(p)!r},{float(w[i, j])!r}\n" for i, x in enumerate(xs) for j, p in enumerate(ps)
     )
     assert (tmp_path / "wigner.csv").read_bytes() == expected.encode()
+
+
+def test_simulate_marginal_csv_bytes_match_row_by_row_reference(tmp_path):
+    # the writer's one-axis path: a curve is written as one chunk
+    assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4", "--nx", "97", "--np", "101",
+               "--out", str(tmp_path)) == 0
+    params = normalized_params(alpha=6.0, delta=4.0)
+    for name, coords, density in (
+        ("xmarginal.csv", Grid1D(min=-12.0, max=12.0, n=97).points(), position_marginal_propagated),
+        ("pmarginal.csv", Grid1D(min=-4.0, max=4.0, n=101).points(), momentum_marginal),
+    ):
+        values = density(params, coords)
+        expected = "coord,value\n" + "".join(f"{float(c)!r},{float(v)!r}\n" for c, v in zip(coords, values))
+        assert (tmp_path / name).read_bytes() == expected.encode()
+
+
+def test_write_csv_holds_no_coordinate_columns(tmp_path):
+    # half of one 512 x 512 float array: the writer formats one grid row at a
+    # time and never expands the axes into n_x * n_p coordinate columns
+    n = 512
+    xs = Grid1D(min=-12.0, max=12.0, n=n).points()
+    ps = Grid1D(min=-4.0, max=4.0, n=n).points()
+    field = wigner_two_slit_propagated(normalized_params(alpha=6.0, delta=4.0), xs[:, None], ps[None, :])
+    tracemalloc.start()
+    try:
+        entry = _write_csv(tmp_path / "wigner.csv", "x,p,w", field, xs, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry["rows"] == n * n
+    assert peak < n * n * 8 / 2
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
@@ -176,8 +209,6 @@ def test_simulate_numeric_with_flight(tmp_path, alpha):
                "--out", str(tmp_path), "--nx", "128", "--np", "64") == 0
     coords, values = np.loadtxt(tmp_path / "xmarginal.csv", delimiter=",", skiprows=1, unpack=True)
     params = normalized_params(alpha=float(alpha), delta=4.0)
-    from wigslits import position_marginal_propagated
-
     closed = position_marginal_propagated(params, coords)
     assert np.max(np.abs(values - closed)) <= 1e-8 * closed.max()
 
@@ -275,6 +306,22 @@ def test_fringes_builds_no_phase_space_field(capsys):
     assert peak < 512 * 512 * 8
 
 
+def test_fringes_finds_each_curves_maxima_once(monkeypatch, capsys):
+    # the report's maxima, fringe_period's curve, and fringe_shift's curve and
+    # reference, whose maxima also seed its comb frequency
+    calls = []
+
+    def counted(curve, min_prominence):
+        calls.append(min_prominence)
+        return find_fringe_maxima(curve, min_prominence)
+
+    monkeypatch.setattr(wigslits.analysis, "find_fringe_maxima", counted)
+    monkeypatch.setattr(wigslits.cli, "find_fringe_maxima", counted)
+    assert run("fringes", "--axis", "momentum", "--delta", "4") == 0
+    capsys.readouterr()
+    assert len(calls) == 4
+
+
 def test_fringes_identical_inputs(capsys):
     assert run("fringes", "--axis", "momentum", "--delta", "4", "--ref-delta", "4") == 0
     report = json.loads(capsys.readouterr().out)
@@ -369,12 +416,20 @@ def test_phase_malformed_pulse_csv(tmp_path, capsys):
         ["--flux", "nan", "--flux-quantum", "1"],
         ["--flux", "1", "--flux-quantum", "inf"],
         ["--electric", "{pulse}", "{pulse}", "--scale", "nan"],
+        # finite inputs whose phase overflows
+        ["--flux", "1e308", "--flux-quantum", "1e-10"],
+        ["--electric", "{huge}", "{zero}", "--scale", "1e10"],
+        ["--neutron", "{huge}", "{zero}", "--scale", "1e10"],
     ],
-    ids=["flux-nan", "flux-quantum-inf", "scale-nan"],
+    ids=["flux-nan", "flux-quantum-inf", "scale-nan", "flux-overflow", "electric-overflow", "neutron-overflow"],
 )
 def test_phase_rejects_non_finite_input(tmp_path, capsys, argv):
-    pulse = _pulse_file(tmp_path / "pulse.csv", [(0.0, 1.0), (1.0, 1.0)])
-    assert run("phase", *(a.format(pulse=pulse) for a in argv)) == 2
+    files = {
+        "pulse": _pulse_file(tmp_path / "pulse.csv", [(0.0, 1.0), (1.0, 1.0)]),
+        "huge": _pulse_file(tmp_path / "huge.csv", [(0.0, 1e300), (1.0, 1e300)]),
+        "zero": _pulse_file(tmp_path / "zero.csv", [(0.0, 0.0), (1.0, 0.0)]),
+    }
+    assert run("phase", *(a.format(**files) for a in argv)) == 2
     assert capsys.readouterr().out == ""
 
 

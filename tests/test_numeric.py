@@ -22,6 +22,7 @@ from wigslits import (
     sample_wavefunction,
     shear_field,
     two_slit_field,
+    wigner_single_slit,
     wigner_transform,
     wigner_two_slit,
 )
@@ -270,6 +271,37 @@ def test_interference_term_is_localized_between_the_slits():
     assert np.max(np.abs(cross[outer, :])) <= 1e-9 * peak
     # and it is genuinely present at the midpoint
     assert np.max(np.abs(cross[~outer, :])) > 0.1 * peak
+
+
+def _beam(params, slit):
+    # one slit's term of sample_wavefunction, with its e^{-+i delta/2} factor
+    x = X_GRID.points()
+    values = np.exp(-((x - slit * params.d) ** 2) / (2 * params.x0**2)) * np.exp(-slit * 1j * params.delta / 2)
+    return SampledWavefunction(grid=X_GRID, values=values)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.3, 4.0])
+def test_discrete_field_splits_into_beams_and_interference_term(delta):
+    # The lag product is bilinear, so W(psi) - W(psi+) - W(psi-) is exactly
+    # the cross-Wigner term 2 Re W12 (Hillery, O'Connell, Scully & Wigner,
+    # Phys. Rep. 106, 121 (1984)): the fringe shift lives there, while each
+    # beam's field carries no trace of delta.
+    params = normalized_params(delta=delta)
+    x, p = X_GRID.points()[:, None], P_GRID.points()[None, :]
+    peak = np.abs(wigner_two_slit(params, x, p)).max()
+    pair = wigner_transform(sample_wavefunction(params, X_GRID), P_GRID, params.hbar).values
+    beams = {s: wigner_transform(_beam(params, s), P_GRID, params.hbar).values for s in (1, -1)}
+
+    x0, d, hbar = params.x0, params.d, params.hbar
+    cross = (
+        2 * x0 * math.sqrt(math.pi) * np.exp(-((p * x0 / hbar) ** 2))
+        * 2 * np.exp(-((x / x0) ** 2)) * np.cos(2 * p * d / hbar - delta)
+    )
+    assert np.max(np.abs(pair - beams[1] - beams[-1] - cross)) <= 1e-6 * peak
+    for slit, beam in beams.items():
+        assert np.max(np.abs(beam - wigner_single_slit(params, x, p, slit))) <= 1e-6 * peak
+        unphased = wigner_transform(_beam(normalized_params(), slit), P_GRID, params.hbar).values
+        assert np.max(np.abs(beam - unphased)) <= 1e-12 * peak
 
 
 # ---------------------------------------------------------------- propagation
