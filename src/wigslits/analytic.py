@@ -14,6 +14,8 @@ Conventions (fixed throughout the package):
 * Free flight over alpha = t/m shears the field: W -> W(x - alpha p, p).
 
 All functions broadcast over numpy array inputs and are pure/thread-safe.
+The sheared closed forms fill one preallocated output a block of leading
+rows at a time, so besides their output they hold O(block) scratch.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ def wigner_two_slit(params: SlitPairParams, x, p):
 
     ``params.alpha`` is ignored here; this is the unpropagated field. The
     two outer terms are the single-slit fields; the central term is the
-    oscillatory interference term and carries the phase ``delta``.
+    oscillatory interference term and carries the phase ``delta``. The sum
+    is finished in the interference term's array, so for an x column and a
+    p row the only n x n_p array held is the result.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -97,14 +101,49 @@ def wigner_two_slit(params: SlitPairParams, x, p):
     envelope = 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2)
     slits = np.exp(-((x - d) / x0) ** 2) + np.exp(-((x + d) / x0) ** 2)
     cross = 2 * np.exp(-((x / x0) ** 2)) * np.cos(2 * p * d / hbar - delta)
-    return envelope * (slits + cross)
+    # cross alone spans the broadcast shape (slits depends on x only, the
+    # envelope on p only), so finish in it; IEEE + and * commute, so this is
+    # bit for bit envelope * (slits + cross)
+    cross += slits
+    cross *= envelope
+    return cross
+
+
+# Cells of a sheared closed form evaluated per block of leading rows (at
+# least one row). Its temporaries are O(_BLOCK_CELLS) whatever the grid, and
+# elementwise formulas give the same bits in any block.
+_BLOCK_CELLS = 1 << 15
+
+
+def _sheared(formula, params: SlitPairParams, x, p, *args):
+    """``formula(params, x - alpha p, p, *args)`` filled into one output, by blocks of leading rows.
+
+    Only inputs that extend along the leading axis are sliced, so factors
+    that depend on p alone stay 1-D. A scalar is one block of one row.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    out = np.empty(np.broadcast_shapes(x.shape, p.shape))
+    rows = np.atleast_1d(out)  # out itself, or a one-row view of a scalar out
+    step = max(1, _BLOCK_CELLS // max(1, rows[0].size))
+
+    def lead(a, block):
+        return a[block] if a.ndim == out.ndim > 0 and a.shape[0] > 1 else a
+
+    for start in range(0, rows.shape[0], step):
+        block = slice(start, start + step)
+        xb, pb = lead(x, block), lead(p, block)
+        rows[block] = formula(params, xb - params.alpha * pb, pb, *args)
+    return out if out.ndim else out[()]
 
 
 def wigner_two_slit_propagated(params: SlitPairParams, x, p):
-    """Wigner field after free flight: the unpropagated field sheared to (x - alpha p, p)."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return wigner_two_slit(params, x - params.alpha * p, p)
+    """Wigner field after free flight: the unpropagated field sheared to (x - alpha p, p).
+
+    Evaluated in blocks of leading rows into one output array; the values
+    are bit for bit those of ``wigner_two_slit(params, x - alpha p, p)``.
+    """
+    return _sheared(wigner_two_slit, params, x, p)
 
 
 def wigner_single_slit(params: SlitPairParams, x, p, slit: int = 1):
@@ -174,17 +213,29 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
 
 
 def two_slit_field(params: SlitPairParams, grid: Grid2D) -> WignerField:
-    """Sample the (propagated) two-slit Wigner field on a phase-space grid."""
+    """Sample the (propagated) two-slit Wigner field on a phase-space grid.
+
+    The field adopts the one array :func:`wigner_two_slit_propagated` fills.
+    """
     x = grid.x_axis.points()[:, None]
     p = grid.p_axis.points()[None, :]
-    return WignerField(grid=grid, values=wigner_two_slit_propagated(params, x, p))
+    values = wigner_two_slit_propagated(params, x, p)
+    values.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
+    return WignerField(grid=grid, values=values)
 
 
 def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> WignerField:
-    """Sample one sheared single-slit Wigner field on a phase-space grid."""
+    """Sample one sheared single-slit Wigner field on a phase-space grid.
+
+    Evaluated like :func:`wigner_two_slit_propagated`, in blocks of x rows
+    into the field's one array; bit for bit
+    ``wigner_single_slit(params, x - alpha p, p, slit)``.
+    """
     x = grid.x_axis.points()[:, None]
     p = grid.p_axis.points()[None, :]
-    return WignerField(grid=grid, values=wigner_single_slit(params, x - params.alpha * p, p, slit))
+    values = _sheared(wigner_single_slit, params, x, p, slit)
+    values.flags.writeable = False
+    return WignerField(grid=grid, values=values)
 
 
 def phase_from_flux(flux: FluxSpec) -> float:

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -70,9 +69,15 @@ _EXIT_ANALYSIS = 4
 
 
 def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
-    """Stream chunks to a temp file, rename it over ``path``; return the sha256 of the bytes."""
+    """Stream chunks to a temp file, rename it over ``path``; return the sha256 of the bytes.
+
+    The temp file is created with mode 0666 under a random name beside
+    ``path``, so the result gets the permissions the umask gives a plain
+    ``open()`` (0644 under umask 022).
+    """
     digest = hashlib.sha256()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

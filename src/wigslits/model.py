@@ -2,6 +2,10 @@
 
 All types are immutable after construction (frozen dataclasses; array payloads
 are marked read-only), so instances can be shared freely across threads.
+A container copies the array it is given, unless that array is already
+frozen: a read-only ndarray of the right dtype that owns its data is adopted
+as is, so a producer that marks its fresh output read-only hands it over
+without a second n x n_p copy.
 """
 
 from __future__ import annotations
@@ -120,7 +124,23 @@ class Grid2D:
 
 
 def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """``values`` as a validated read-only array, adopted without a copy when already frozen.
+
+    A plain ndarray of ``dtype`` that is read-only and owns its data is kept
+    as is: no other array can write to it, so a producer that marks its
+    fresh output read-only hands it over without a second copy. Anything
+    else (a writeable array, a view, another dtype, a list) is copied, so
+    later writes to the caller's object cannot reach the container.
+    """
+    if (
+        type(values) is np.ndarray
+        and not values.flags.writeable
+        and values.flags.owndata
+        and values.dtype == dtype
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{what} shape {arr.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(arr)):

@@ -204,7 +204,6 @@ def wigner_transform(
         block = slice(start, start + _P_BLOCK)
         theta = (2 * dx / hbar) * np.outer(lags, p[block])
         w[:, block] = 4 * dx * (g_re @ np.cos(theta) - g_im @ np.sin(theta))
-    del g_re, g_im  # not held while WignerField copies w
 
     density = np.abs(phibar) ** 2
     peak = density.max()
@@ -214,6 +213,7 @@ def wigner_transform(
             f"Wigner transform: x-integral differs from |phibar(p)|^2 by {mismatch:.3e}, "
             f"beyond {_MARGINAL_TOL:.0e} of peak {peak:.3e} (kernel sign, or x grid too coarse)"
         )
+    w.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=Grid2D(psi.grid, p_grid), values=w)
 
 
@@ -267,6 +267,7 @@ def shear_field(field: WignerField, alpha: float) -> WignerField:
     out = np.empty_like(field.values)
     for j, pj in enumerate(p):
         out[:, j] = np.interp(x - alpha * pj, x, field.values[:, j], left=0.0, right=0.0)
+    out.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=field.grid, values=out)
 
 

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
+import wigslits.analytic
 from wigslits import (
     FluxSpec,
+    Grid1D,
+    Grid2D,
     PulseSeries,
     SlitPairParams,
     momentum_marginal,
@@ -17,7 +20,9 @@ from wigslits import (
     phase_from_voltage_pulses,
     position_marginal_propagated,
     propagated_width,
+    single_slit_field,
     single_slit_marginal,
+    two_slit_field,
     wigner_single_slit,
     wigner_two_slit,
     wigner_two_slit_propagated,
@@ -108,6 +113,68 @@ def test_single_slit_is_positive_and_sums_against_pair():
     np.testing.assert_allclose((pair - w1 - w2)[np.broadcast_to(outer, pair.shape)], 0.0, atol=1e-9)
     with pytest.raises(ValueError):
         wigner_single_slit(params, 0.0, 0.0, slit=2)
+
+
+def _dense_two_slit(params, x, p):
+    # reference: every term broadcast over the whole grid, nothing in place
+    x0, d, hbar, delta = params.x0, params.d, params.hbar, params.delta
+    envelope = 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2)
+    slits = np.exp(-((x - d) / x0) ** 2) + np.exp(-((x + d) / x0) ** 2)
+    cross = 2 * np.exp(-((x / x0) ** 2)) * np.cos(2 * p * d / hbar - delta)
+    return envelope * (slits + cross)
+
+
+def _dense_single_slit(params, x, p, slit):
+    x0, hbar = params.x0, params.hbar
+    c = slit * params.d
+    return 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2) * np.exp(-((x - c) / x0) ** 2)
+
+
+BLOCK_CELLS = wigslits.analytic._BLOCK_CELLS
+SHORT_ROW = 3
+LONG_CURVE = 3 * BLOCK_CELLS + 17
+
+
+def _closed_form_cases():
+    # (x, p) pairs: grids whose last block of rows is partial, a column
+    # against a short row, scalars, and a 1-D curve longer than one block
+    cases = []
+    for n_x, n_p in [(97, 103), (3 * (BLOCK_CELLS // 103) + 5, 103), (300, 7)]:
+        cases.append((np.linspace(-12.0, 12.0, n_x)[:, None], np.linspace(-4.0, 4.0, n_p)[None, :]))
+    cases.append((np.linspace(-12.0, 12.0, 2 * BLOCK_CELLS // SHORT_ROW + 1)[:, None],
+                  np.linspace(-4.0, 4.0, SHORT_ROW)[None, :]))
+    cases.append((0.7, -0.3))
+    cases.append((np.linspace(-30.0, 30.0, LONG_CURVE), 0.4))
+    cases.append((np.linspace(-30.0, 30.0, LONG_CURVE), np.linspace(-4.0, 4.0, LONG_CURVE)))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", [0.0, 6.0])
+def test_closed_forms_match_dense_formulas_bit_for_bit(alpha):
+    params = SlitPairParams(x0=1.0, d=5.0, delta=4.0, alpha=alpha)
+    for x, p in _closed_form_cases():
+        xs = np.asarray(x, dtype=float) - alpha * np.asarray(p, dtype=float)
+        for got, want in [
+            (wigner_two_slit(params, x, p), _dense_two_slit(params, np.asarray(x), np.asarray(p))),
+            (wigner_two_slit_propagated(params, x, p), _dense_two_slit(params, xs, np.asarray(p))),
+        ]:
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 6.0])
+@pytest.mark.parametrize("n_x, n_p", [(97, 101), (3 * (BLOCK_CELLS // 101) + 5, 101), (512, 512)])
+def test_sampled_fields_match_dense_formulas_bit_for_bit(alpha, n_x, n_p):
+    params = SlitPairParams(x0=1.0, d=5.0, delta=4.0, alpha=alpha)
+    grid = Grid2D(Grid1D(min=-12.0, max=12.0, n=n_x), Grid1D(min=-4.0, max=4.0, n=n_p))
+    x = grid.x_axis.points()[:, None]
+    p = grid.p_axis.points()[None, :]
+    assert np.array_equal(two_slit_field(params, grid).values, _dense_two_slit(params, x - alpha * p, p))
+    for slit in (1, -1):
+        want = _dense_single_slit(params, x - alpha * p, p, slit)
+        assert np.array_equal(single_slit_field(params, grid, slit).values, want)
+    with pytest.raises(ValueError):
+        single_slit_field(params, grid, slit=2)
 
 
 # ---------------------------------------------------------------- invariants

@@ -28,6 +28,7 @@ from wigslits import (
 import wigslits.analysis
 import wigslits.cli
 from wigslits.cli import _write_atomic, _write_csv, main
+from test_numeric import _traced_peak_bytes
 
 SMALL = ["--nx", "64", "--np", "64"]
 
@@ -166,6 +167,30 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
         _write_atomic(target, chunks())
     assert target.read_bytes() == b"old\n"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert run("simulate", "--d", "5", "--out", str(tmp_path), *SMALL) == 0
+        assert run("fringes", "--axis", "momentum", "--out", str(tmp_path / "report.json")) == 0
+    finally:
+        os.umask(old)
+    modes = {f.name: f.stat().st_mode & 0o777 for f in tmp_path.iterdir()}
+    names = ["manifest.json", "pmarginal.csv", "report.json", "wigner.csv", "xmarginal.csv"]
+    assert modes == dict.fromkeys(names, mode)
+
+
+def test_simulate_analytic_holds_about_one_field(tmp_path):
+    # the closed form fills one 512 x 512 array in row blocks, WignerField
+    # adopts it, and the writer holds one grid row of text
+    argv = ["simulate", "--d", "5", "--delta", "4", "--alpha", "6", "--out", str(tmp_path)]
+    assert run(*argv) == 0  # first call outside the trace: lazy imports and caches
+    codes = []
+    peak = _traced_peak_bytes(lambda: codes.append(run(*argv)))
+    assert codes == [0]
+    assert peak <= 2 * 512 * 512 * 8
 
 
 def test_simulate_analytic_values_match_closed_form(tmp_path):

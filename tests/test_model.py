@@ -147,6 +147,41 @@ def test_field_values_are_read_only():
         f.values[0, 0] = 1.0
 
 
+def test_field_copies_a_writeable_array():
+    arr = np.zeros((4, 3))
+    f = WignerField(grid=_small_grid2d(), values=arr)
+    arr[0, 0] = 1.0
+    assert f.values is not arr
+    assert f.values[0, 0] == 0.0
+
+
+def test_field_adopts_a_frozen_array():
+    arr = np.zeros((4, 3))
+    arr.flags.writeable = False
+    assert WignerField(grid=_small_grid2d(), values=arr).values is arr
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _frozen(np.zeros((4, 6)))[:, ::2],  # a read-only view: its base may still be written
+        _frozen(np.zeros((4, 3), dtype=np.float32)),
+        _frozen(np.zeros((4, 3), dtype=np.int64)),
+        [[0.0] * 3] * 4,
+    ],
+    ids=["view", "float32", "int64", "list"],
+)
+def test_field_copies_views_other_dtypes_and_lists(values):
+    f = WignerField(grid=_small_grid2d(), values=values)
+    assert f.values is not values
+    assert f.values.dtype == float and f.values.flags.owndata and not f.values.flags.writeable
+
+
 def test_wavefunction_length_must_match_grid():
     g = Grid1D(min=0.0, max=1.0, n=4)
     with pytest.raises(ValueError):

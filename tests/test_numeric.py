@@ -21,10 +21,12 @@ from wigslits import (
     propagate_free,
     sample_wavefunction,
     shear_field,
+    single_slit_field,
     two_slit_field,
     wigner_single_slit,
     wigner_transform,
     wigner_two_slit,
+    wigner_two_slit_propagated,
 )
 
 X_GRID = Grid1D(min=-12.0, max=12.0, n=512)
@@ -245,8 +247,7 @@ def test_transforms_hold_no_dense_kernel():
     # dense n x n_p kernels peak at 4x the field in the momentum transform
     # (complex exp and its argument) and 6.5x in the Wigner transform; p
     # blocks leave 0.53x (one reused n x block complex kernel) and 2.8x
-    # (field, its copy into WignerField and the lag products, which are
-    # freed before that copy)
+    # (field, lag products and the per-block scratch)
     n = 1024
     grid = Grid1D(min=-12.0, max=12.0, n=n)
     p_grid = Grid1D(min=-4.0, max=4.0, n=n)
@@ -254,6 +255,33 @@ def test_transforms_hold_no_dense_kernel():
     field_bytes = n * n * np.dtype(float).itemsize
     assert _traced_peak_bytes(lambda: wigner_transform(psi, p_grid, 1.0)) <= 3 * field_bytes
     assert _traced_peak_bytes(lambda: momentum_wavefunction(psi, p_grid, 1.0)) <= 0.75 * field_bytes
+
+
+FLIGHT = normalized_params(alpha=6.0, delta=4.0)
+
+
+@pytest.mark.parametrize(
+    "bound, produce",
+    [
+        (1.25, lambda base, x, p: wigner_two_slit(FLIGHT, x, p)),
+        (1.5, lambda base, x, p: wigner_two_slit_propagated(FLIGHT, x, p)),
+        (1.5, lambda base, x, p: two_slit_field(FLIGHT, base.grid)),
+        (1.5, lambda base, x, p: single_slit_field(FLIGHT, base.grid, -1)),
+        (1.25, lambda base, x, p: shear_field(base, 6.0)),
+    ],
+    ids=["wigner_two_slit", "wigner_two_slit_propagated", "two_slit_field", "single_slit_field", "shear_field"],
+)
+def test_phase_space_producer_holds_one_field(bound, produce):
+    # each producer holds its output plus O(block) scratch (and a field's
+    # n x n_p isfinite mask, 1/8 of it), and WignerField adopts that output
+    # uncopied
+    n = 1024
+    grid = Grid2D(Grid1D(min=-12.0, max=12.0, n=n), Grid1D(min=-4.0, max=4.0, n=n))
+    base = two_slit_field(normalized_params(delta=4.0), grid)
+    x = grid.x_axis.points()[:, None]
+    p = grid.p_axis.points()[None, :]
+    field_bytes = n * n * np.dtype(float).itemsize
+    assert _traced_peak_bytes(lambda: produce(base, x, p)) <= bound * field_bytes
 
 
 def test_interference_term_is_localized_between_the_slits():
