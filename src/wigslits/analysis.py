@@ -210,7 +210,11 @@ def _comb_frequency(curve: MarginalCurve, maxima: List[float]) -> float:
     """
     if len(maxima) < 3:
         raise AnalysisError(f"need >= 3 fringe maxima to estimate a period, found {len(maxima)}")
-    omega0 = 2 * np.pi / float(np.median(np.diff(maxima)))
+    # the median gap by hand: np.median imports numpy.ma in every fresh process
+    gaps = sorted(np.diff(maxima).tolist())
+    mid = len(gaps) // 2
+    median_gap = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
+    omega0 = 2 * np.pi / median_gap
     return _bounded_minimum(
         lambda om: -abs(_windowed_component(curve, om)), 0.7 * omega0, 1.3 * omega0, 1e-12 * omega0
     )

@@ -143,7 +143,9 @@ def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
         arr = np.array(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{what} shape {arr.shape} does not match grid shape {shape}")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and expose +-inf without an n x n_p isfinite mask
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    if not all(math.isfinite(part.min()) and math.isfinite(part.max()) for part in parts):
         raise ValueError(f"{what} contains non-finite values")
     arr.flags.writeable = False
     return arr

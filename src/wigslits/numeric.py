@@ -49,6 +49,11 @@ _NEG_TOL = 1e-7
 # O(n * _P_BLOCK) whatever n_p is, and a fixed block keeps reruns bit-identical.
 _P_BLOCK = 256
 
+# Row split of the transforms' phase tables: index j = J * _TABLE_SPLIT + r,
+# and exp(i j phi) = exp(i J * _TABLE_SPLIT * phi) * exp(i r phi), so a block
+# evaluates (n / _TABLE_SPLIT + _TABLE_SPLIT) phases per column instead of n.
+_TABLE_SPLIT = 32
+
 
 def _fft_roundoff_floor(n: int) -> float:
     """Smallest edge_tol free propagation on n points accepts.
@@ -119,27 +124,39 @@ def momentum_wavefunction(
     """Momentum wavefunction phibar(p) = integral of psi(x) exp(+i x p/hbar) dx.
 
     Direct trapezoid quadrature on the sampling grid, evaluated at every
-    point of ``p_grid``. The kernel is formed for a fixed-size block of p at
-    a time in one reused buffer, so the scratch is O(n * block) rather than
-    one dense n x n_p kernel. Returns a complex array of length ``p_grid.n``.
+    point of ``p_grid`` in fixed-size blocks of p. The kernel is never
+    formed: writing the sample index as j = J s + r (s = ``_TABLE_SPLIT``),
+    exp(i x_j p/hbar) = exp(i x_{J s} p/hbar) exp(i r dx p/hbar), so a block
+    needs a coarse table of ceil(n/s) rows and a fine table of s rows, and
+    phibar = sum over J of coarse * (Psi @ fine), with Psi the weighted
+    samples zero-padded to ceil(n/s) x s. The scratch is O((n/s + s) *
+    block) and repeated runs are bit-identical. Returns a complex array of
+    length ``p_grid.n``.
     """
     _check_edge_decay(psi.values, edge_tol, on_truncation, "momentum transform")
     x = psi.grid.points()
     p = p_grid.points()
-    weighted = psi.values * _trapezoid_weights(psi.grid)
+    rows = -(-x.size // _TABLE_SPLIT)
+    weighted = np.zeros(rows * _TABLE_SPLIT, dtype=complex)
+    weighted[: x.size] = psi.values * _trapezoid_weights(psi.grid)
+    weighted = weighted.reshape(rows, _TABLE_SPLIT)
+    coarse_x = x[::_TABLE_SPLIT]
+    fine_x = np.arange(_TABLE_SPLIT) * psi.grid.spacing
     phibar = np.empty(p.size, dtype=complex)
-    # one kernel buffer for all blocks: fresh n x block temporaries go back to
-    # the OS after each block, and faulting them in again costs more than the
-    # exponentials once n >= 2048
-    buffer = np.empty((x.size, min(p.size, _P_BLOCK)), dtype=complex)
     for start in range(0, p.size, _P_BLOCK):
         block = slice(start, start + _P_BLOCK)
-        kernel = buffer[:, : p[block].size]
-        np.multiply.outer(x, p[block], out=kernel)
-        kernel *= 1j  # in two steps: the rounding of exp(1j * outer(x, p) / hbar)
-        kernel /= hbar
-        phibar[block] = weighted @ np.exp(kernel, out=kernel)
+        coarse, fine = (_phase_table(offsets, p[block], hbar) for offsets in (coarse_x, fine_x))
+        coarse *= weighted @ fine
+        phibar[block] = coarse.sum(axis=0)
     return phibar
+
+
+def _phase_table(offsets: np.ndarray, p: np.ndarray, hbar: float) -> np.ndarray:
+    """exp(i * outer(offsets, p) / hbar), rounded as the dense kernel is."""
+    table = np.multiply.outer(offsets, p).astype(complex)
+    table *= 1j  # in two steps: the rounding of exp(1j * outer(x, p) / hbar)
+    table /= hbar
+    return np.exp(table, out=table)
 
 
 def wigner_transform(
@@ -165,11 +182,15 @@ def wigner_transform(
     otherwise the kernel sign is wrong or the x grid too coarse, and
     ConventionViolationError is raised.
 
-    The lag products are kept as two contiguous real n x n/2 arrays and the
-    kernel is formed for one fixed-size block of p at a time, so besides the
-    returned field and the lag products the scratch is O(n * block); no
-    dense n x n_p kernel is built. Fixed-order matrix products over fixed
-    blocks evaluate all rows, so repeated runs are bit-identical.
+    The lag products are kept lag-major, as two contiguous real ceil(n/2) x n
+    arrays, and the field is formed for one fixed-size block of p at a
+    time; no dense n x n_p kernel is built. With k = K s + r (s =
+    ``_TABLE_SPLIT``) and theta = 2 dx p/hbar, cos(k theta) and sin(k theta)
+    come from the cosines and sines of a coarse table (K s theta, ceil(n/2s)
+    rows) and a fine table (r theta, s rows) by angle addition, into scratch
+    allocated once per call. Besides the returned field and the lag
+    products the scratch is O(n * block). Fixed-order matrix products over
+    fixed blocks evaluate all rows, so repeated runs are bit-identical.
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
@@ -189,21 +210,43 @@ def wigner_transform(
     phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol, on_truncation=on_truncation)
 
     half = (n + 1) // 2  # lags k >= n/2 leave the grid on every row
-    g_re = np.zeros((n, half))
-    g_im = np.zeros((n, half))
+    g_re = np.zeros((half, n))
+    g_im = np.zeros((half, n))
     conj = np.conj(psi.values)
     for k in range(half):
         product = conj[: n - 2 * k] * psi.values[2 * k :]
-        g_re[k : n - k, k] = product.real
-        g_im[k : n - k, k] = product.imag
-    g_re[:, 0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
-    g_im[:, 0] *= 0.5
-    lags = np.arange(half)
+        g_re[k, k : n - k] = product.real
+        g_im[k, k : n - k] = product.imag
+    g_re[0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
+    g_im[0] *= 0.5
+
+    rows = -(-half // _TABLE_SPLIT)
+    coarse_lags = np.arange(rows) * _TABLE_SPLIT
+    fine_lags = np.arange(_TABLE_SPLIT)
+    width = min(p.size, _P_BLOCK)
+    # flat scratch, viewed per block at its width so every view is contiguous
+    cos_k, sin_k, term = (np.empty(rows * _TABLE_SPLIT * width) for _ in range(3))
+    im_part = np.empty(n * width)
     w = np.empty((n, p.size))
     for start in range(0, p.size, _P_BLOCK):
         block = slice(start, start + _P_BLOCK)
-        theta = (2 * dx / hbar) * np.outer(lags, p[block])
-        w[:, block] = 4 * dx * (g_re @ np.cos(theta) - g_im @ np.sin(theta))
+        b = p[block].size
+        (cos_c, sin_c), (cos_f, sin_f) = (
+            _trig_table(lags, p[block], 2 * dx / hbar) for lags in (coarse_lags, fine_lags)
+        )
+        cos_c, sin_c = cos_c[:, None], sin_c[:, None]
+        cos_kb, sin_kb, term_b = (
+            buf[: rows * _TABLE_SPLIT * b].reshape(rows, _TABLE_SPLIT, b) for buf in (cos_k, sin_k, term)
+        )
+        # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
+        np.multiply(cos_c, cos_f, out=cos_kb)
+        cos_kb -= np.multiply(sin_c, sin_f, out=term_b)
+        np.multiply(sin_c, cos_f, out=sin_kb)
+        sin_kb += np.multiply(cos_c, sin_f, out=term_b)
+        w_b = w[:, block]  # BLAS writes the strided view in place
+        np.matmul(g_re.T, cos_kb.reshape(-1, b)[:half], out=w_b)
+        w_b -= np.matmul(g_im.T, sin_kb.reshape(-1, b)[:half], out=im_part[: n * b].reshape(n, b))
+        w_b *= 4 * dx
 
     density = np.abs(phibar) ** 2
     peak = density.max()
@@ -215,6 +258,12 @@ def wigner_transform(
         )
     w.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=Grid2D(psi.grid, p_grid), values=w)
+
+
+def _trig_table(lags: np.ndarray, p: np.ndarray, scale: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of scale * outer(lags, p), rounded as the dense angles are."""
+    theta = scale * np.multiply.outer(lags, p)
+    return np.cos(theta), np.sin(theta)
 
 
 def propagate_free(

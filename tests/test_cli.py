@@ -44,21 +44,31 @@ def test_console_entry_points():
         assert "simulate" in proc.stdout
 
 
-def test_commands_do_not_import_scipy():
-    # scipy is only the tests' reference; importing it costs ~1 s and ~75 MB
+def _fresh_process_modules(calls, prefix):
+    # run cli.main on each argv in a fresh interpreter; the loaded modules under prefix
     script = (
         "import sys\n"
         "import wigslits\n"
         "from wigslits import cli\n"
-        "assert cli.main(['fringes', '--axis', 'momentum']) == 0\n"
-        "assert cli.main(['phase', '--flux', '1', '--flux-quantum', '2']) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in calls)
+        + f"print(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))\n"
     )
     src = str(Path(wigslits.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_commands_do_not_import_scipy():
+    # scipy is only the tests' reference; importing it costs ~1 s and ~75 MB
+    calls = [["fringes", "--axis", "momentum"], ["phase", "--flux", "1", "--flux-quantum", "2"]]
+    assert _fresh_process_modules(calls, "scipy") == "[]"
+
+
+def test_fringes_does_not_import_numpy_ma():
+    # np.median imports numpy.ma (~15 ms) in every fresh process that finds a fringe period
+    assert _fresh_process_modules([["fringes", "--axis", "momentum"]], "numpy.ma") == "[]"
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,10 +136,19 @@ def test_wigner_field_rejects_shape_mismatch():
 
 
 def test_wigner_field_rejects_nonfinite():
-    vals = np.zeros((4, 3))
-    vals[1, 1] = np.inf
-    with pytest.raises(ValueError):
-        WignerField(grid=_small_grid2d(), values=vals)
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros((4, 3))
+        vals[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            WignerField(grid=_small_grid2d(), values=vals)
+
+
+@pytest.mark.parametrize("bad", [complex(0.0, np.inf), complex(0.0, -np.inf), complex(0.0, np.nan)])
+def test_wavefunction_rejects_nonfinite_imaginary_part(bad):
+    vals = np.ones(4, dtype=complex)
+    vals[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SampledWavefunction(grid=Grid1D(min=0.0, max=1.0, n=4), values=vals)
 
 
 def test_field_values_are_read_only():
@@ -159,6 +169,20 @@ def test_field_adopts_a_frozen_array():
     arr = np.zeros((4, 3))
     arr.flags.writeable = False
     assert WignerField(grid=_small_grid2d(), values=arr).values is arr
+
+
+def test_adopting_a_large_field_allocates_no_mask():
+    # the finiteness check reduces in place: no n x n_p bool mask or copy
+    n = 1024
+    arr = _frozen(np.zeros((n, n)))
+    grid = Grid2D(Grid1D(min=-1.0, max=1.0, n=n), Grid1D(min=-1.0, max=1.0, n=n))
+    tracemalloc.start()
+    try:
+        WignerField(grid=grid, values=arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * arr.nbytes
 
 
 def _frozen(arr):

@@ -197,7 +197,7 @@ def test_wigner_transform_total_mass():
 
 
 def _dense_transforms(psi, p_grid, hbar):
-    # the unblocked formulas, one n x n_p kernel each: the reference for p blocking
+    # the unblocked formulas, one n x n_p kernel each: the reference for p blocks and phase tables
     n, dx = psi.grid.n, psi.grid.spacing
     x, p = psi.grid.points(), p_grid.points()
     weights = np.full(n, dx)
@@ -213,6 +213,18 @@ def _dense_transforms(psi, p_grid, hbar):
     return 4 * dx * (g.real @ np.cos(theta) - g.imag @ np.sin(theta)), phibar
 
 
+def _assert_transforms_match_dense_formula(psi, p_grid, hbar):
+    # within 1e-14 of peak of the dense formulas, and bit-identical on a rerun
+    dense_w, dense_phibar = _dense_transforms(psi, p_grid, hbar)
+    field = wigner_transform(psi, p_grid, hbar)
+    phibar = momentum_wavefunction(psi, p_grid, hbar)
+    assert np.max(np.abs(field.values - dense_w)) <= 1e-14 * np.abs(dense_w).max()
+    assert np.max(np.abs(phibar - dense_phibar)) <= 1e-14 * np.abs(dense_phibar).max()
+
+    assert np.array_equal(wigner_transform(psi, p_grid, hbar).values, field.values)
+    assert np.array_equal(momentum_wavefunction(psi, p_grid, hbar), phibar)
+
+
 BLOCK = wigslits.numeric._P_BLOCK
 
 
@@ -223,15 +235,33 @@ def test_blocked_transforms_match_dense_formula(n_p):
     x_grid = Grid1D(min=-12.0, max=12.0, n=300)
     p_grid = Grid1D(min=-2.0, max=2.0, n=n_p)
     psi = sample_wavefunction(params, x_grid)
-    dense_w, dense_phibar = _dense_transforms(psi, p_grid, params.hbar)
+    _assert_transforms_match_dense_formula(psi, p_grid, params.hbar)
 
-    field = wigner_transform(psi, p_grid, params.hbar)
-    phibar = momentum_wavefunction(psi, p_grid, params.hbar)
-    assert np.max(np.abs(field.values - dense_w)) <= 1e-14 * np.abs(dense_w).max()
-    assert np.max(np.abs(phibar - dense_phibar)) <= 1e-14 * np.abs(dense_phibar).max()
 
-    assert np.array_equal(wigner_transform(psi, p_grid, params.hbar).values, field.values)
-    assert np.array_equal(momentum_wavefunction(psi, p_grid, params.hbar), phibar)
+SPLIT = wigslits.numeric._TABLE_SPLIT
+
+
+@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT - 1, 2 * SPLIT + 1, 4 * SPLIT + 1])
+def test_phase_tables_match_dense_formula(n):
+    # sample counts (momentum tables) and lag counts ceil(n/2) (Wigner
+    # tables) below, at and past the table split, and one past a multiple
+    x_grid = Grid1D(min=-12.0, max=12.0, n=n)
+    bandwidth = math.pi / (2 * x_grid.spacing)
+    p_grid = Grid1D(min=-0.9 * bandwidth, max=0.9 * bandwidth, n=97)
+    psi = sample_wavefunction(normalized_params(delta=4.0), x_grid)
+    _assert_transforms_match_dense_formula(psi, p_grid, 1.0)
+
+
+def test_momentum_wavefunction_matches_gaussian_integral_across_the_band():
+    # phibar(p) = 2 x0 sqrt(2 pi) e^{-p^2 x0^2/2 hbar^2} cos(p d/hbar - delta/2) on a
+    # wide window, out to 0.9 of the lag-lattice bandwidth, where the phases are largest
+    x_grid = Grid1D(min=-40.0, max=40.0, n=1024)
+    p_max = 0.9 * math.pi / (2 * x_grid.spacing)
+    p_grid = Grid1D(min=-p_max, max=p_max, n=1024)
+    phibar = momentum_wavefunction(sample_wavefunction(normalized_params(delta=4.0), x_grid), p_grid, 1.0)
+    p = p_grid.points()
+    closed = 2 * math.sqrt(2 * math.pi) * np.exp(-(p**2) / 2) * np.cos(5.0 * p - 2.0)
+    assert np.max(np.abs(phibar - closed)) <= 1e-14 * np.abs(closed).max()
 
 
 def _traced_peak_bytes(call):
@@ -246,8 +276,8 @@ def _traced_peak_bytes(call):
 def test_transforms_hold_no_dense_kernel():
     # dense n x n_p kernels peak at 4x the field in the momentum transform
     # (complex exp and its argument) and 6.5x in the Wigner transform; p
-    # blocks leave 0.53x (one reused n x block complex kernel) and 2.8x
-    # (field, lag products and the per-block scratch)
+    # blocks and phase tables leave 0.08x (two short tables per block) and
+    # 2.7x (field, lag products and the per-call scratch)
     n = 1024
     grid = Grid1D(min=-12.0, max=12.0, n=n)
     p_grid = Grid1D(min=-4.0, max=4.0, n=n)
@@ -272,9 +302,8 @@ FLIGHT = normalized_params(alpha=6.0, delta=4.0)
     ids=["wigner_two_slit", "wigner_two_slit_propagated", "two_slit_field", "single_slit_field", "shear_field"],
 )
 def test_phase_space_producer_holds_one_field(bound, produce):
-    # each producer holds its output plus O(block) scratch (and a field's
-    # n x n_p isfinite mask, 1/8 of it), and WignerField adopts that output
-    # uncopied
+    # each producer holds its output plus O(block) scratch, and WignerField
+    # adopts that output uncopied
     n = 1024
     grid = Grid2D(Grid1D(min=-12.0, max=12.0, n=n), Grid1D(min=-4.0, max=4.0, n=n))
     base = two_slit_field(normalized_params(delta=4.0), grid)
