@@ -42,6 +42,7 @@ from .model import (
     propagated_width,
 )
 from .numeric import (
+    field_marginal,
     field_marginals,
     momentum_wavefunction,
     propagate_free,
@@ -82,6 +83,7 @@ __all__ = [
     "wigner_transform",
     "propagate_free",
     "shear_field",
+    "field_marginal",
     "field_marginals",
     "find_fringe_maxima",
     "fringe_period",

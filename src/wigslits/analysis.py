@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AnalysisError
 from .model import MarginalCurve, WignerField
-from .numeric import field_marginals
+from .numeric import field_marginal
 
 __all__ = [
     "DEFAULT_MIN_PROMINENCE",
@@ -304,13 +304,10 @@ def common_projection_interval(
     """:func:`common_support_interval` of the projections of two fields onto ``axis``.
 
     ``axis`` is 'position' or 'momentum'; the fields are projected by
-    :func:`wigslits.numeric.field_marginals`, whose normalization the
+    :func:`wigslits.numeric.field_marginal`, whose normalization the
     relative threshold makes irrelevant.
     """
-    if axis not in ("position", "momentum"):
-        raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
     if field1.grid != field2.grid:
         raise ValueError("fields must share the same grid")
-    which = 0 if axis == "position" else 1
-    curve1, curve2 = (field_marginals(f)[which] for f in (field1, field2))
+    curve1, curve2 = (field_marginal(f, axis) for f in (field1, field2))
     return common_support_interval(curve1, curve2, threshold)

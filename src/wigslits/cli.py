@@ -52,7 +52,7 @@ from .model import (
 )
 from .numeric import (
     DEFAULT_EDGE_DECAY_TOL,
-    field_marginals,
+    field_marginal,
     propagate_free,
     sample_wavefunction,
     shear_field,
@@ -194,7 +194,7 @@ def cmd_simulate(args) -> int:
         base = wigner_transform(psi, p_raw, params.hbar, edge_tol=args.edge_tol)
         field_values = shear_field(base, params.alpha).values
         x_density = _numeric_position_marginal(params, x_raw, args.edge_tol)
-        p_density = field_marginals(base, params.hbar)[1].values  # invariant under free flight
+        p_density = field_marginal(base, "momentum", params.hbar).values  # invariant under free flight
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ import warnings
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SampledWavefunction, SlitPairParams, WignerField
@@ -25,6 +26,7 @@ __all__ = [
     "wigner_transform",
     "propagate_free",
     "shear_field",
+    "field_marginal",
     "field_marginals",
 ]
 
@@ -182,15 +184,19 @@ def wigner_transform(
     otherwise the kernel sign is wrong or the x grid too coarse, and
     ConventionViolationError is raised.
 
-    The lag products are kept lag-major, as two contiguous real ceil(n/2) x n
-    arrays, and the field is formed for one fixed-size block of p at a
-    time; no dense n x n_p kernel is built. With k = K s + r (s =
-    ``_TABLE_SPLIT``) and theta = 2 dx p/hbar, cos(k theta) and sin(k theta)
-    come from the cosines and sines of a coarse table (K s theta, ceil(n/2s)
-    rows) and a fine table (r theta, s rows) by angle addition, into scratch
-    allocated once per call. Besides the returned field and the lag
-    products the scratch is O(n * block). Fixed-order matrix products over
-    fixed blocks evaluate all rows, so repeated runs are bit-identical.
+    The conjugate lag products are kept x-major, as one complex n x L array
+    (L = ceil(n/2) rounded up to whole ``_TABLE_SPLIT`` rows, the padded
+    lags zero), read from two sliding windows of the zero-padded samples.
+    The field is formed for one fixed-size block of p at a time; no dense
+    n x n_p kernel is built. With k = K s + r (s = ``_TABLE_SPLIT``) and
+    theta = 2 dx p/hbar, the block's kernel exp(i k theta) is the product
+    of a coarse phase table (K s, L/s rows) and a fine one (r, s rows),
+    written into one complex buffer allocated once per call. Viewed as
+    floats, the lag products hold (Re g, -Im g) pairs and the kernel
+    (cos, sin) pairs, so the block of W is one real matrix product. Besides
+    the returned field and the lag products the scratch is O(n * block).
+    Fixed-order matrix products over fixed blocks evaluate all rows, so
+    repeated runs are bit-identical.
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
@@ -209,43 +215,29 @@ def wigner_transform(
     # the guard's reference first, while no n x n_p array is held yet
     phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol, on_truncation=on_truncation)
 
-    half = (n + 1) // 2  # lags k >= n/2 leave the grid on every row
-    g_re = np.zeros((half, n))
-    g_im = np.zeros((half, n))
-    conj = np.conj(psi.values)
-    for k in range(half):
-        product = conj[: n - 2 * k] * psi.values[2 * k :]
-        g_re[k, k : n - k] = product.real
-        g_im[k, k : n - k] = product.imag
-    g_re[0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
-    g_im[0] *= 0.5
+    rows = -(-((n + 1) // 2) // _TABLE_SPLIT)  # lags k >= n/2 leave the grid on every row
+    n_lags = rows * _TABLE_SPLIT
+    padded = np.zeros(n + 2 * n_lags, dtype=complex)
+    padded[n_lags : n_lags + n] = psi.values
+    behind = sliding_window_view(padded, n_lags)[1 : n + 1, ::-1]  # psi(x_i - k dx)
+    ahead = sliding_window_view(padded.conj(), n_lags)[n_lags : n_lags + n]  # conj(psi(x_i + k dx))
+    lag_products = behind * ahead  # conj(g), so that its float view pairs (Re g, -Im g)
+    lag_products[:, 0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
+    lag_floats = lag_products.view(float)
 
-    rows = -(-half // _TABLE_SPLIT)
-    coarse_lags = np.arange(rows) * _TABLE_SPLIT
-    fine_lags = np.arange(_TABLE_SPLIT)
-    width = min(p.size, _P_BLOCK)
+    coarse_lags = 2 * dx * np.arange(0, n_lags, _TABLE_SPLIT)
+    fine_lags = 2 * dx * np.arange(_TABLE_SPLIT)
     # flat scratch, viewed per block at its width so every view is contiguous
-    cos_k, sin_k, term = (np.empty(rows * _TABLE_SPLIT * width) for _ in range(3))
-    im_part = np.empty(n * width)
+    kernel = np.empty(min(p.size, _P_BLOCK) * n_lags, dtype=complex)
     w = np.empty((n, p.size))
     for start in range(0, p.size, _P_BLOCK):
         block = slice(start, start + _P_BLOCK)
         b = p[block].size
-        (cos_c, sin_c), (cos_f, sin_f) = (
-            _trig_table(lags, p[block], 2 * dx / hbar) for lags in (coarse_lags, fine_lags)
-        )
-        cos_c, sin_c = cos_c[:, None], sin_c[:, None]
-        cos_kb, sin_kb, term_b = (
-            buf[: rows * _TABLE_SPLIT * b].reshape(rows, _TABLE_SPLIT, b) for buf in (cos_k, sin_k, term)
-        )
-        # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
-        np.multiply(cos_c, cos_f, out=cos_kb)
-        cos_kb -= np.multiply(sin_c, sin_f, out=term_b)
-        np.multiply(sin_c, cos_f, out=sin_kb)
-        sin_kb += np.multiply(cos_c, sin_f, out=term_b)
+        coarse, fine = (_phase_table(offsets, p[block], hbar).T for offsets in (coarse_lags, fine_lags))
+        kernel_b = kernel[: b * n_lags].reshape(b, rows, _TABLE_SPLIT)
+        np.multiply(coarse[:, :, None], fine[:, None, :], out=kernel_b)
         w_b = w[:, block]  # BLAS writes the strided view in place
-        np.matmul(g_re.T, cos_kb.reshape(-1, b)[:half], out=w_b)
-        w_b -= np.matmul(g_im.T, sin_kb.reshape(-1, b)[:half], out=im_part[: n * b].reshape(n, b))
+        np.matmul(lag_floats, kernel_b.reshape(b, n_lags).view(float).T, out=w_b)
         w_b *= 4 * dx
 
     density = np.abs(phibar) ** 2
@@ -258,12 +250,6 @@ def wigner_transform(
         )
     w.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=Grid2D(psi.grid, p_grid), values=w)
-
-
-def _trig_table(lags: np.ndarray, p: np.ndarray, scale: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Cosines and sines of scale * outer(lags, p), rounded as the dense angles are."""
-    theta = scale * np.multiply.outer(lags, p)
-    return np.cos(theta), np.sin(theta)
 
 
 def propagate_free(
@@ -320,33 +306,39 @@ def shear_field(field: WignerField, alpha: float) -> WignerField:
     return WignerField(grid=field.grid, values=out)
 
 
-def field_marginals(field: WignerField, hbar: float = 1.0) -> Tuple[MarginalCurve, MarginalCurve]:
-    """Project a Wigner field onto its axes.
+def field_marginal(field: WignerField, axis: str, hbar: float = 1.0) -> MarginalCurve:
+    """Project a Wigner field onto one axis, 'position' or 'momentum'.
 
     position density = (1 / 2 pi hbar) * integral over p,
     momentum density = integral over x,
-    both by trapezoid quadrature. Negatives within ``_NEG_TOL`` of the curve
-    peak (window-edge truncation of the interference term) are clamped to
-    zero; anything more negative raises ConventionViolationError (the field is
-    not a valid Wigner function on this grid). A kernel-sign error need not
-    drive a marginal negative; wigner_transform checks for it instead.
+    by trapezoid quadrature. Negatives within ``_NEG_TOL`` of the curve peak
+    (window-edge truncation of the interference term) are clamped to zero;
+    anything more negative raises ConventionViolationError (the field is not
+    a valid Wigner function on this grid). Only the requested projection is
+    formed and checked, so a truncated window on the other axis does no harm.
+    A kernel-sign error need not drive a marginal negative; wigner_transform
+    checks for it instead.
     """
-    pos = field.values @ _trapezoid_weights(field.grid.p_axis) / (2 * math.pi * hbar)
-    mom = _trapezoid_weights(field.grid.x_axis) @ field.values
+    if axis == "position":
+        grid = field.grid.x_axis
+        values = field.values @ _trapezoid_weights(field.grid.p_axis) / (2 * math.pi * hbar)
+    elif axis == "momentum":
+        grid = field.grid.p_axis
+        values = _trapezoid_weights(field.grid.x_axis) @ field.values
+    else:
+        raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
+    peak = values.max()
+    floor = values.min()
+    if floor < 0:
+        if peak <= 0 or floor < -_NEG_TOL * peak:
+            raise ConventionViolationError(
+                f"{axis} marginal dips to {floor:.3e} "
+                f"(beyond -{_NEG_TOL:.0e} of peak {peak:.3e})"
+            )
+        values = np.clip(values, 0.0, None)
+    return MarginalCurve(axis_label=axis, grid=grid, values=values)
 
-    curves = []
-    for label, grid, values in (
-        ("position", field.grid.x_axis, pos),
-        ("momentum", field.grid.p_axis, mom),
-    ):
-        peak = values.max()
-        floor = values.min()
-        if floor < 0:
-            if peak <= 0 or floor < -_NEG_TOL * peak:
-                raise ConventionViolationError(
-                    f"{label} marginal dips to {floor:.3e} "
-                    f"(beyond -{_NEG_TOL:.0e} of peak {peak:.3e})"
-                )
-            values = np.clip(values, 0.0, None)
-        curves.append(MarginalCurve(axis_label=label, grid=grid, values=values))
-    return curves[0], curves[1]
+
+def field_marginals(field: WignerField, hbar: float = 1.0) -> Tuple[MarginalCurve, MarginalCurve]:
+    """The position and momentum marginals of a Wigner field; see :func:`field_marginal`."""
+    return field_marginal(field, "position", hbar), field_marginal(field, "momentum", hbar)

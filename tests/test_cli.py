@@ -248,6 +248,18 @@ def test_simulate_numeric_with_flight(tmp_path, alpha):
     assert np.max(np.abs(values - closed)) <= 1e-8 * closed.max()
 
 
+@pytest.mark.parametrize("alpha", ["0", "6"])
+def test_simulate_numeric_accepts_narrow_momentum_window(tmp_path, alpha):
+    # integrated over |P| <= 1 only, the field's position projection dips to
+    # -3.6e-2 of peak; the position marginal comes from the propagated psi, so
+    # only the momentum projection is formed and checked
+    assert run("simulate", "--d", "5", "--alpha", alpha, "--delta", "4", "--engine", "numeric",
+               "--pmin", "-1", "--pmax", "1", "--out", str(tmp_path), "--nx", "128", "--np", "64") == 0
+    coords, values = np.loadtxt(tmp_path / "pmarginal.csv", delimiter=",", skiprows=1, unpack=True)
+    closed = momentum_marginal(normalized_params(alpha=float(alpha), delta=4.0), coords)
+    assert np.max(np.abs(values - closed)) <= 1e-10 * closed.max()
+
+
 def test_simulate_numeric_truncation_exit_code(tmp_path, capsys):
     code = run("simulate", "--d", "5", "--engine", "numeric", "--xmin", "-7", "--xmax", "7",
                "--out", str(tmp_path), *SMALL)
