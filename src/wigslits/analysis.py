@@ -192,21 +192,23 @@ def _envelope_centroid(curve: MarginalCurve) -> float:
     return float((curve.values * curve.grid.points()).sum() / total)
 
 
-def _windowed_component(curve: MarginalCurve, omega: float) -> complex:
+def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
+    """omega -> the curve's Hann-windowed Fourier component, with window * values formed once."""
     # Hann window: zero value and slope at the edges, so grid truncation of
     # a non-decayed envelope does not leak into the comb phase.
     g = curve.grid.points()
-    w = np.hanning(curve.grid.n)
-    return complex(np.sum(w * curve.values * np.exp(-1j * omega * g)) * curve.grid.spacing)
+    windowed = np.hanning(curve.grid.n) * curve.values
+    spacing = curve.grid.spacing
+    return lambda omega: complex(np.sum(windowed * np.exp(-1j * omega * g)) * spacing)
 
 
-def _comb_frequency(curve: MarginalCurve, maxima: List[float]) -> float:
+def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) -> float:
     """Angular frequency of the fringe comb.
 
     Seeded by the median spacing of ``maxima``, the curve's prominent maxima
-    as the caller found them, then refined by maximizing the windowed
-    Fourier magnitude, which is immune to the envelope pull on individual
-    peak positions.
+    as the caller found them, then refined by maximizing the magnitude of
+    ``component``, the curve's windowed Fourier component, which is immune
+    to the envelope pull on individual peak positions.
     """
     if len(maxima) < 3:
         raise AnalysisError(f"need >= 3 fringe maxima to estimate a period, found {len(maxima)}")
@@ -215,14 +217,13 @@ def _comb_frequency(curve: MarginalCurve, maxima: List[float]) -> float:
     mid = len(gaps) // 2
     median_gap = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
     omega0 = 2 * np.pi / median_gap
-    return _bounded_minimum(
-        lambda om: -abs(_windowed_component(curve, om)), 0.7 * omega0, 1.3 * omega0, 1e-12 * omega0
-    )
+    return _bounded_minimum(lambda om: -abs(component(om)), 0.7 * omega0, 1.3 * omega0, 1e-12 * omega0)
 
 
 def fringe_period(curve: MarginalCurve) -> float:
     """Spacing of consecutive fringe maxima (2 pi over the comb frequency)."""
-    return 2 * np.pi / _comb_frequency(curve, find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE))
+    maxima = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE)
+    return 2 * np.pi / _comb_frequency(_windowed_component(curve), maxima)
 
 
 def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
@@ -245,17 +246,16 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     if not cur_maxima or not ref_maxima:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
 
+    ref_component = _windowed_component(reference)
     try:
-        omega = _comb_frequency(reference, ref_maxima)
+        omega = _comb_frequency(ref_component, ref_maxima)
     except AnalysisError:
         centroid = _envelope_centroid(reference)
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
         m_cur = min(cur_maxima, key=lambda m: abs(m - m_ref))
         return m_cur - m_ref
 
-    dphi = np.angle(_windowed_component(reference, omega)) - np.angle(
-        _windowed_component(curve, omega)
-    )
+    dphi = np.angle(ref_component(omega)) - np.angle(_windowed_component(curve)(omega))
     dphi = (dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2
     return float(dphi / omega)
 

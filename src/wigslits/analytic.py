@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "single_slit_marginal",
     "two_slit_field",
     "single_slit_field",
+    "simulate",
     "phase_from_flux",
     "phase_from_voltage_pulses",
     "phase_from_magnetic_pulses",
@@ -236,6 +238,12 @@ def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> Wi
     values = _sheared(wigner_single_slit, params, x, p, slit)
     values.flags.writeable = False
     return WignerField(grid=grid, values=values)
+
+
+def simulate(params: SlitPairParams, grid: Grid2D) -> Tuple[WignerField, np.ndarray, np.ndarray]:
+    """(field after flight, position density, momentum density) on ``grid`` in raw units."""
+    x_density = position_marginal_propagated(params, grid.x_axis.points())
+    return two_slit_field(params, grid), x_density, momentum_marginal(params, grid.p_axis.points())
 
 
 def phase_from_flux(flux: FluxSpec) -> float:

@@ -1,5 +1,10 @@
 """Command-line front end: simulate fields/marginals to CSV, report fringes, convert phases.
 
+The CLI parses arguments, writes files and maps errors to exit codes:
+``simulate`` makes one call, :func:`wigslits.analytic.simulate` or
+:func:`wigslits.numeric.simulate`, and writes what it returns (parameter-mode
+``fringes`` still samples its closed-form curves here).
+
 All file coordinates are normalized (X = x/x0, P = p*x0/hbar), so the output
 axes match the dimensionless plotting convention regardless of the unit
 system; physics is computed in raw units internally.
@@ -22,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analytic, numeric
 from .analysis import (
     DEFAULT_MIN_PROMINENCE,
     common_support_interval,
@@ -39,26 +44,14 @@ from .analytic import (
     phase_from_voltage_pulses,
     position_marginal_propagated,
     single_slit_marginal,
-    two_slit_field,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
-from .model import (
-    FringeReport,
-    Grid1D,
-    Grid2D,
-    MarginalCurve,
-    SlitPairParams,
-    propagated_width,
-)
-from .numeric import (
-    DEFAULT_EDGE_DECAY_TOL,
-    field_marginal,
-    propagate_free,
-    sample_wavefunction,
-    shear_field,
-    validate_edge_tol,
-    wigner_transform,
-)
+from .model import FringeReport, Grid1D, Grid2D, MarginalCurve, SlitPairParams
+from .numeric import DEFAULT_EDGE_DECAY_TOL, validate_edge_tol
+
+# not called here: perfbench/selftest.py checks that the benchmark's tracer
+# rebinds this name too (numeric.simulate calls the module's own binding)
+from .numeric import wigner_transform  # noqa: F401
 
 _EXIT_USAGE = 2
 _EXIT_GUARD = 3
@@ -139,69 +132,34 @@ def _params_from_args(args) -> SlitPairParams:
     return SlitPairParams(x0=args.x0, d=args.d, delta=args.delta, hbar=args.hbar, alpha=args.alpha)
 
 
-def _norm_grids(args) -> Tuple[Grid1D, Grid1D]:
-    return (
-        Grid1D(min=args.xmin, max=args.xmax, n=args.nx),
-        Grid1D(min=args.pmin, max=args.pmax, n=args.n_p),
-    )
-
-
-def _raw_axes(params: SlitPairParams, x_norm: Grid1D, p_norm: Grid1D) -> Tuple[Grid1D, Grid1D]:
-    sx = params.x0
-    sp = params.hbar / params.x0
-    return (
-        Grid1D(min=x_norm.min * sx, max=x_norm.max * sx, n=x_norm.n),
-        Grid1D(min=p_norm.min * sp, max=p_norm.max * sp, n=p_norm.n),
-    )
+def _grids(args, params: SlitPairParams) -> Tuple[Grid1D, Grid1D, Grid1D, Grid1D]:
+    """The flags' normalized x and p axes, then the same lattices in raw units."""
+    x_norm = Grid1D(min=args.xmin, max=args.xmax, n=args.nx)
+    p_norm = Grid1D(min=args.pmin, max=args.pmax, n=args.n_p)
+    sx, sp = params.x0, params.hbar / params.x0
+    x_raw = Grid1D(min=x_norm.min * sx, max=x_norm.max * sx, n=x_norm.n)
+    p_raw = Grid1D(min=p_norm.min * sp, max=p_norm.max * sp, n=p_norm.n)
+    return x_norm, p_norm, x_raw, p_raw
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _numeric_position_marginal(params: SlitPairParams, x_raw: Grid1D, edge_tol: float) -> np.ndarray:
-    """|psi(x)|^2 after free flight, on x_raw, via propagation on a widened grid.
-
-    The numeric engine's position marginal at every alpha, zero included:
-    it is exact to roundoff, unlike the p-quadrature of the sampled field.
-    The requested window usually cannot hold the spread packet, so the grid
-    is extended by whole steps (the requested points stay on the lattice),
-    propagated, and cropped back.
-    """
-    h = x_raw.spacing
-    reach = params.d + 8.0 * max(propagated_width(params), params.x0)
-    m_lo = max(0, math.ceil((reach + x_raw.min) / h))
-    m_hi = max(0, math.ceil((reach - x_raw.max) / h))
-    n_wide = x_raw.n + m_lo + m_hi
-    wide = Grid1D(min=x_raw.min - m_lo * h, max=x_raw.min + (n_wide - 1 - m_lo) * h, n=n_wide)
-    psi = sample_wavefunction(params, wide)
-    evolved = propagate_free(psi, params.alpha, params.hbar, edge_tol=edge_tol)
-    density = np.abs(evolved.values[m_lo : m_lo + x_raw.n]) ** 2
-    return density
-
-
 def cmd_simulate(args) -> int:
     validate_edge_tol(args.edge_tol)  # both engines: the manifest records it
     params = _params_from_args(args)
-    x_norm, p_norm = _norm_grids(args)
-    x_raw, p_raw = _raw_axes(params, x_norm, p_norm)
-
+    x_norm, p_norm, x_raw, p_raw = _grids(args, params)
+    grid = Grid2D(x_raw, p_raw)
     if args.engine == "analytic":
-        field_values = two_slit_field(params, Grid2D(x_raw, p_raw)).values
-        x_density = position_marginal_propagated(params, x_raw.points())
-        p_density = momentum_marginal(params, p_raw.points())
+        field, x_density, p_density = analytic.simulate(params, grid)
     else:
-        psi = sample_wavefunction(params, x_raw)
-        base = wigner_transform(psi, p_raw, params.hbar, edge_tol=args.edge_tol)
-        field_values = shear_field(base, params.alpha).values
-        x_density = _numeric_position_marginal(params, x_raw, args.edge_tol)
-        p_density = field_marginal(base, "momentum", params.hbar).values  # invariant under free flight
+        field, x_density, p_density = numeric.simulate(params, grid, args.edge_tol)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    xs = x_norm.points()
-    ps = p_norm.points()
+    xs, ps = x_norm.points(), p_norm.points()
     files = {
-        "wigner": _write_csv(out / "wigner.csv", "x,p,w", field_values, xs, ps),
+        "wigner": _write_csv(out / "wigner.csv", "x,p,w", field.values, xs, ps),
         "xmarginal": _write_csv(out / "xmarginal.csv", "coord,value", x_density, xs),
         "pmarginal": _write_csv(out / "pmarginal.csv", "coord,value", p_density, ps),
     }
@@ -210,13 +168,7 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "version": __version__,
         "engine": args.engine,
-        "params": {
-            "x0": params.x0,
-            "d": params.d,
-            "hbar": params.hbar,
-            "alpha": params.alpha,
-            "delta": params.delta,
-        },
+        "params": dataclasses.asdict(params),
         "grid": {
             "coordinates": "normalized: X = x/x0, P = p*x0/hbar",
             "xmin": x_norm.min,
@@ -240,8 +192,7 @@ def cmd_simulate(args) -> int:
 def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Optional[Tuple[float, float]]]:
     params = _params_from_args(args)
     reference_params = dataclasses.replace(params, delta=args.ref_delta)
-    x_norm, p_norm = _norm_grids(args)
-    x_raw, p_raw = _raw_axes(params, x_norm, p_norm)
+    x_norm, p_norm, x_raw, p_raw = _grids(args, params)
 
     # curves carry normalized coordinates so reports match the CSV files
     if args.axis == "momentum":

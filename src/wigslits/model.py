@@ -11,6 +11,7 @@ without a second n x n_p copy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -90,7 +91,10 @@ class Grid1D:
     def __post_init__(self):
         object.__setattr__(self, "min", _require_finite("min", self.min))
         object.__setattr__(self, "max", _require_finite("max", self.max))
-        object.__setattr__(self, "n", int(self.n))
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))  # numpy ints pass, 2.5 does not
+        except TypeError:
+            raise ValueError(f"grid needs an integral n, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2 points, got {self.n}")
         if not self.min < self.max:

@@ -86,7 +86,10 @@ def test_grid_endpoint_hits_max_within_roundoff():
     assert g.point(g.n - 1) == pytest.approx(g.max, abs=4 * np.finfo(float).eps * abs(g.max))
 
 
-@pytest.mark.parametrize("bad", [dict(min=0.0, max=0.0, n=4), dict(min=1.0, max=-1.0, n=4), dict(min=0.0, max=1.0, n=1)])
+@pytest.mark.parametrize(
+    "bad",
+    [dict(min=0.0, max=0.0, n=4), dict(min=1.0, max=-1.0, n=4), dict(min=0.0, max=1.0, n=1), dict(min=0.0, max=1.0, n=2.5)],
+)
 def test_grid_validation(bad):
     with pytest.raises(ValueError):
         Grid1D(**bad)

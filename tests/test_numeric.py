@@ -4,16 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wigslits.analytic
 import wigslits.numeric
 from wigslits import (
     ConventionViolationError,
     Grid1D,
     Grid2D,
+    MarginalCurve,
     SampledWavefunction,
     SlitPairParams,
     TruncationError,
     WignerField,
     field_marginals,
+    fringe_shift,
     momentum_marginal,
     momentum_wavefunction,
     normalized_params,
@@ -361,6 +364,29 @@ def test_discrete_field_splits_into_beams_and_interference_term(delta):
         assert np.max(np.abs(beam - unphased)) <= 1e-12 * peak
 
 
+@pytest.mark.parametrize("delta", [1.3, 4.0])
+def test_fringe_shift_lives_in_the_discrete_interference_term(delta):
+    # The abstract's first claim on the discrete engine: the momentum
+    # projection of the interference term W(psi) - W(psi+) - W(psi-) moves
+    # by delta hbar / (2 d) (criterion 03), while the beam projections do
+    # not move at all. The term's projection is signed, so the delta-free
+    # beam projections are added back to make a density curve.
+    weights = wigslits.numeric._trapezoid_weights(X_GRID)
+
+    def projections(phase):
+        params = normalized_params(delta=phase)
+        pair = wigner_transform(sample_wavefunction(params, X_GRID), P_GRID, params.hbar).values
+        beams = [wigner_transform(_beam(params, s), P_GRID, params.hbar).values for s in (1, -1)]
+        return weights @ (pair - beams[0] - beams[1]), [weights @ beam for beam in beams]
+
+    cross, beams = projections(delta)
+    cross_ref, beams_ref = projections(0.0)
+    for beam, beam_ref in zip(beams, beams_ref):
+        assert np.max(np.abs(beam - beam_ref)) <= 1e-12 * beam_ref.max()
+    curve, reference = (MarginalCurve("momentum", P_GRID, c + sum(beams_ref)) for c in (cross, cross_ref))
+    assert fringe_shift(curve, reference) == pytest.approx(delta * 1.0 / (2 * 5.0), abs=2e-3)
+
+
 # ---------------------------------------------------------------- propagation
 
 WIDE_GRID = Grid1D(min=-64.0, max=64.0, n=2049)  # odd count keeps 0 on the lattice
@@ -468,6 +494,31 @@ def test_sheared_closed_form_matches_propagated_transform():
     direct = wigner_transform(propagate_free(psi, 6.0, 1.0), p_grid, 1.0)
     peak = np.abs(closed.values).max()
     assert np.max(np.abs(sheared.values - direct.values)) <= 1e-3 * peak
+
+
+# ---------------------------------------------------------------- engines
+
+# criterion 07's x spacing and off-lattice p count, so that at alpha = 6 the
+# numeric engine's shear really interpolates
+ENGINE_GRID = Grid2D(Grid1D(min=-12.0, max=12.0, n=385), Grid1D(min=-4.0, max=4.0, n=127))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 6.0])
+@pytest.mark.parametrize("engine", [wigslits.analytic, wigslits.numeric], ids=["analytic", "numeric"])
+def test_engine_simulate_contract(engine, alpha):
+    # both engines return the field after flight on the grid passed in and
+    # the two densities on its axes, within the CLI tests' bounds (1e-8 of
+    # peak in x, 1e-10 in p) and criterion 07's shear bound of the closed forms
+    params = normalized_params(alpha=alpha, delta=4.0)
+    field, x_density, p_density = engine.simulate(params, ENGINE_GRID)
+    assert field.grid == ENGINE_GRID
+    assert x_density.shape == (ENGINE_GRID.x_axis.n,) and p_density.shape == (ENGINE_GRID.p_axis.n,)
+    x, p = ENGINE_GRID.x_axis.points(), ENGINE_GRID.p_axis.points()
+    closed = wigner_two_slit_propagated(params, x[:, None], p[None, :])
+    assert np.max(np.abs(field.values - closed)) <= 1e-3 * np.abs(closed).max()
+    x_closed, p_closed = position_marginal_propagated(params, x), momentum_marginal(params, p)
+    assert np.max(np.abs(x_density - x_closed)) <= 1e-8 * x_closed.max()
+    assert np.max(np.abs(p_density - p_closed)) <= 1e-10 * p_closed.max()
 
 
 # ---------------------------------------------------------------- marginals
