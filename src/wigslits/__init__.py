@@ -12,6 +12,7 @@ from .analysis import (
     common_support_interval,
     find_fringe_maxima,
     fringe_period,
+    fringe_report,
     fringe_shift,
 )
 from .analytic import (
@@ -88,6 +89,7 @@ __all__ = [
     "find_fringe_maxima",
     "fringe_period",
     "fringe_shift",
+    "fringe_report",
     "common_support_interval",
     "common_projection_interval",
 ]

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import AnalysisError
-from .model import MarginalCurve, WignerField
+from .model import FringeReport, MarginalCurve, WignerField
 from .numeric import field_marginal
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "find_fringe_maxima",
     "fringe_period",
     "fringe_shift",
+    "fringe_report",
     "common_support_interval",
     "common_projection_interval",
 ]
@@ -185,13 +186,6 @@ def _bounded_minimum(func: Callable[[float], float], lo: float, hi: float, xatol
     return xf
 
 
-def _envelope_centroid(curve: MarginalCurve) -> float:
-    total = curve.values.sum()
-    if total <= 0:
-        raise AnalysisError("curve has no mass; cannot locate the envelope")
-    return float((curve.values * curve.grid.points()).sum() / total)
-
-
 def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
     """omega -> the curve's Hann-windowed Fourier component, with window * values formed once."""
     # Hann window: zero value and slope at the edges, so grid truncation of
@@ -220,6 +214,13 @@ def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) 
     return _bounded_minimum(lambda om: -abs(component(om)), 0.7 * omega0, 1.3 * omega0, 1e-12 * omega0)
 
 
+def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
+    if curve1.grid != curve2.grid:
+        raise ValueError("curves must share the same grid")
+    if curve1.axis_label != curve2.axis_label:
+        raise ValueError(f"curves lie on different axes: {curve1.axis_label!r}, {curve2.axis_label!r}")
+
+
 def fringe_period(curve: MarginalCurve) -> float:
     """Spacing of consecutive fringe maxima (2 pi over the comb frequency)."""
     maxima = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE)
@@ -233,31 +234,56 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     comb phase difference at the reference comb frequency, mapped to the
     displacement window [-period/4, 3*period/4): a comb is only defined
     modulo its period, and the window is biased toward positive
-    displacements to match the sign convention.
+    displacements to match the sign convention. The curves must share one
+    grid and one axis.
 
     Falls back to the displacement of the interpolated maximum nearest the
     reference envelope centroid when the reference has too few fringes to
     carry a period.
     """
-    if curve.grid != reference.grid:
-        raise ValueError("curve and reference must share the same grid")
-    cur_maxima = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE)
+    _require_comparable(curve, reference)
+    return _shift(find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE), _windowed_component(curve), reference)
+
+
+def _shift(maxima: List[float], component: Callable[[float], complex], reference: MarginalCurve) -> float:
+    """:func:`fringe_shift` of the curve with these prominent maxima and windowed component."""
     ref_maxima = find_fringe_maxima(reference, DEFAULT_MIN_PROMINENCE)
-    if not cur_maxima or not ref_maxima:
+    if not maxima or not ref_maxima:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
 
     ref_component = _windowed_component(reference)
     try:
         omega = _comb_frequency(ref_component, ref_maxima)
     except AnalysisError:
-        centroid = _envelope_centroid(reference)
+        # the envelope centroid: the reference has a maximum, so its mass is > 0
+        centroid = (reference.values * reference.grid.points()).sum() / reference.values.sum()
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
-        m_cur = min(cur_maxima, key=lambda m: abs(m - m_ref))
+        m_cur = min(maxima, key=lambda m: abs(m - m_ref))
         return m_cur - m_ref
 
-    dphi = np.angle(ref_component(omega)) - np.angle(_windowed_component(curve)(omega))
+    dphi = np.angle(ref_component(omega)) - np.angle(component(omega))
     dphi = (dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2
     return float(dphi / omega)
+
+
+def fringe_report(
+    curve: MarginalCurve,
+    reference: MarginalCurve,
+    pattern_interval: Optional[Tuple[float, float]] = None,
+) -> FringeReport:
+    """Report of ``curve`` against ``reference``, with each curve's maxima and component found once.
+
+    The maxima (at ``DEFAULT_MIN_PROMINENCE``) seed the period search; the
+    period (None below 3 maxima) and the shift equal :func:`fringe_period`
+    and :func:`fringe_shift` bit for bit; ``pattern_interval`` is passed through.
+    """
+    _require_comparable(curve, reference)
+    maxima, component = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE), _windowed_component(curve)
+    try:
+        period = 2 * np.pi / _comb_frequency(component, maxima)
+    except AnalysisError:
+        period = None
+    return FringeReport(tuple(maxima), period, _shift(maxima, component, reference), pattern_interval)
 
 
 def common_support_interval(
@@ -275,10 +301,7 @@ def common_support_interval(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if curve1.grid != curve2.grid:
-        raise ValueError("curves must share the same grid")
-    if curve1.axis_label != curve2.axis_label:
-        raise ValueError(f"curves lie on different axes: {curve1.axis_label!r}, {curve2.axis_label!r}")
+    _require_comparable(curve1, curve2)
 
     coords = curve1.grid.points()
     lo, hi = coords[0], coords[-1]

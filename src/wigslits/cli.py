@@ -2,8 +2,8 @@
 
 The CLI parses arguments, writes files and maps errors to exit codes:
 ``simulate`` makes one call, :func:`wigslits.analytic.simulate` or
-:func:`wigslits.numeric.simulate`, and writes what it returns (parameter-mode
-``fringes`` still samples its closed-form curves here).
+:func:`wigslits.numeric.simulate`, and writes what it returns; ``fringes``
+loads or samples two curves and writes :func:`wigslits.analysis.fringe_report`.
 
 All file coordinates are normalized (X = x/x0, P = p*x0/hbar), so the output
 axes match the dimensionless plotting convention regardless of the unit
@@ -28,13 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, analytic, numeric
-from .analysis import (
-    DEFAULT_MIN_PROMINENCE,
-    common_support_interval,
-    find_fringe_maxima,
-    fringe_period,
-    fringe_shift,
-)
+from .analysis import common_support_interval, fringe_report
 from .analytic import (
     FluxSpec,
     PulseSeries,
@@ -46,7 +40,7 @@ from .analytic import (
     single_slit_marginal,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
-from .model import FringeReport, Grid1D, Grid2D, MarginalCurve, SlitPairParams
+from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams
 from .numeric import DEFAULT_EDGE_DECAY_TOL, validate_edge_tol
 
 # not called here: perfbench/selftest.py checks that the benchmark's tracer
@@ -56,6 +50,10 @@ from .numeric import wigner_transform  # noqa: F401
 _EXIT_USAGE = 2
 _EXIT_GUARD = 3
 _EXIT_ANALYSIS = 4
+
+# Relative support threshold of the parameter-mode pattern interval: each
+# single-slit projection exp(-(u/w)^2) counts within three widths w of its center.
+_PATTERN_THRESHOLD = math.exp(-9)
 
 
 # ---------------------------------------------------------------- helpers
@@ -205,7 +203,7 @@ def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Opt
 
     # the pattern lies where both single-slit projections carry weight
     slit1, slit2 = (curve(single_slit_marginal(params, args.axis, raw_pts, s)) for s in (1, -1))
-    interval = common_support_interval(slit1, slit2, args.pattern_threshold)
+    interval = common_support_interval(slit1, slit2, _PATTERN_THRESHOLD)
     return curve(marginal(params, raw_pts)), curve(marginal(reference_params, raw_pts)), interval
 
 
@@ -213,29 +211,15 @@ def cmd_fringes(args) -> int:
     if args.curve_file or args.reference_file:
         if not (args.curve_file and args.reference_file):
             raise ValueError("--curve and --reference must be given together")
-        axis = args.axis or "momentum"
-        curve = _curve_from_csv(args.curve_file, axis)
-        reference = _curve_from_csv(args.reference_file, axis)
+        paths = (args.curve_file, args.reference_file)
+        curve, reference = (_curve_from_csv(path, args.axis or "momentum") for path in paths)
         interval = None
     else:
         if args.axis is None:
             raise ValueError("parameter mode needs --axis (or pass --curve/--reference files)")
         curve, reference, interval = _fringes_curves_from_params(args)
 
-    maxima = find_fringe_maxima(curve, args.min_prominence)
-    try:
-        period = fringe_period(curve)
-    except AnalysisError:
-        period = None
-    shift = fringe_shift(curve, reference)
-
-    report = FringeReport(
-        maxima=tuple(maxima),
-        period_estimate=period,
-        shift_vs_reference=shift,
-        pattern_interval=interval,
-    )
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    text = json.dumps(fringe_report(curve, reference, interval).to_dict(), indent=2) + "\n"
     if args.out:
         _write_atomic(Path(args.out), [text])
     else:
@@ -320,13 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--delta", type=float, default=0.0, help="phase of the analyzed curve")
     fr.add_argument("--ref-delta", type=float, default=0.0, help="phase of the reference curve")
     add_grid(fr)
-    fr.add_argument("--min-prominence", type=float, default=DEFAULT_MIN_PROMINENCE)
-    fr.add_argument(
-        "--pattern-threshold",
-        type=float,
-        default=math.exp(-9),
-        help="relative support threshold for the common-projection interval",
-    )
     fr.add_argument("--out", help="write the JSON report here instead of stdout")
     fr.set_defaults(func=cmd_fringes)
 

@@ -83,7 +83,7 @@ def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
     return weights
 
 
-def _check_edge_decay(values: np.ndarray, tol: float, action: str, what: str) -> None:
+def _check_edge_decay(values: np.ndarray, tol: float, what: str, action: str = "error") -> None:
     if action not in ("error", "warn"):
         raise ValueError(f"on_truncation must be 'error' or 'warn', got {action!r}")
     validate_edge_tol(tol)
@@ -123,7 +123,6 @@ def momentum_wavefunction(
     hbar: float = 1.0,
     *,
     edge_tol: float = DEFAULT_EDGE_DECAY_TOL,
-    on_truncation: str = "error",
 ) -> np.ndarray:
     """Momentum wavefunction phibar(p) = integral of psi(x) exp(+i x p/hbar) dx.
 
@@ -137,7 +136,7 @@ def momentum_wavefunction(
     block) and repeated runs are bit-identical. Returns a complex array of
     length ``p_grid.n``.
     """
-    _check_edge_decay(psi.values, edge_tol, on_truncation, "momentum transform")
+    _check_edge_decay(psi.values, edge_tol, "momentum transform")
     x = psi.grid.points()
     p = p_grid.points()
     rows = -(-x.size // _TABLE_SPLIT)
@@ -169,7 +168,6 @@ def wigner_transform(
     hbar: float = 1.0,
     *,
     edge_tol: float = DEFAULT_EDGE_DECAY_TOL,
-    on_truncation: str = "error",
 ) -> WignerField:
     """Discrete Wigner transform of a sampled wavefunction.
 
@@ -182,9 +180,9 @@ def wigner_transform(
     The lag lattice halves the usable bandwidth: every requested momentum
     must satisfy |p| <= pi hbar / (2 dx). At every p, the x-integral of W
     must match |phibar(p)|^2 from the independent momentum transform (which
-    also applies ``edge_tol`` and ``on_truncation``) to 1e-2 of its peak;
-    otherwise the kernel sign is wrong or the x grid too coarse, and
-    ConventionViolationError is raised.
+    also applies ``edge_tol``) to 1e-2 of its peak; otherwise the kernel
+    sign is wrong or the x grid too coarse, and ConventionViolationError is
+    raised.
 
     The conjugate lag products are kept x-major, as one complex n x L array
     (L = ceil(n/2) rounded up to whole ``_TABLE_SPLIT`` rows, the padded
@@ -202,7 +200,7 @@ def wigner_transform(
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
-    _check_edge_decay(psi.values, edge_tol, on_truncation, "Wigner transform")
+    _check_edge_decay(psi.values, edge_tol, "Wigner transform")
     n = psi.grid.n
     dx = psi.grid.spacing
     p = p_grid.points()
@@ -215,7 +213,7 @@ def wigner_transform(
         )
 
     # the guard's reference first, while no n x n_p array is held yet
-    phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol, on_truncation=on_truncation)
+    phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol)
 
     rows = -(-((n + 1) // 2) // _TABLE_SPLIT)  # lags k >= n/2 leave the grid on every row
     n_lags = rows * _TABLE_SPLIT
@@ -285,10 +283,10 @@ def propagate_free(
             f"edge_tol {edge_tol:.1e} is below the FFT roundoff floor {floor:.3g} "
             f"of free propagation on {n} points; its output edge check could not pass"
         )
-    _check_edge_decay(psi.values, edge_tol, on_truncation, "free propagation (input)")
+    _check_edge_decay(psi.values, edge_tol, "free propagation (input)", on_truncation)
     p = 2 * math.pi * hbar * np.fft.fftfreq(n, d=psi.grid.spacing)
     evolved = np.fft.fft(np.fft.ifft(psi.values) * np.exp(1j * alpha * p**2 / (2 * hbar)))
-    _check_edge_decay(evolved, edge_tol, on_truncation, "free propagation (output)")
+    _check_edge_decay(evolved, edge_tol, "free propagation (output)", on_truncation)
     return SampledWavefunction(grid=psi.grid, values=evolved)
 
 

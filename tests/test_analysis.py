@@ -16,6 +16,7 @@ from wigslits import (
     common_support_interval,
     find_fringe_maxima,
     fringe_period,
+    fringe_report,
     fringe_shift,
     momentum_marginal,
     normalized_params,
@@ -183,6 +184,11 @@ def test_fringe_shift_requires_matching_grids():
     other = Grid1D(min=-4.0, max=4.0, n=256)
     with pytest.raises(ValueError):
         fringe_shift(_p_curve(4.0), _p_curve(0.0, grid=other))
+    # one grid is not enough: a position curve on the momentum lattice is another axis
+    other_axis = MarginalCurve("position", P_AXIS, _p_curve(0.0).values)
+    for measure in (fringe_shift, fringe_report):
+        with pytest.raises(ValueError, match="different axes"):
+            measure(_p_curve(4.0), other_axis)
 
 
 def test_fringe_shift_needs_peaks():
@@ -201,6 +207,38 @@ def test_fringe_shift_single_peak_fallback():
     cur = MarginalCurve(axis_label="position", grid=grid, values=np.exp(-((x - 1.5) ** 2)))
     assert fringe_shift(cur, ref) == pytest.approx(1.5, abs=1e-6)
     assert fringe_shift(ref, cur) == pytest.approx(-1.5, abs=1e-6)
+
+
+# ---------------------------------------------------------------- report
+
+
+def _bump(center):
+    return MarginalCurve("momentum", P_AXIS, np.exp(-((P_AXIS.points() - center) ** 2)))
+
+
+@pytest.mark.parametrize(
+    "curve, reference, period_none, centroid_shift",
+    [
+        (_p_curve(4.0), _p_curve(0.0), False, False),
+        (_x_curve(4.0), _x_curve(0.0), False, False),
+        (_bump(0.5), _p_curve(0.0), True, False),  # one maximum: no period
+        (_p_curve(4.0), _bump(0.0), False, True),  # one reference fringe: centroid fallback
+    ],
+    ids=["momentum", "position", "no-period", "centroid"],
+)
+def test_fringe_report_equals_the_public_functions(curve, reference, period_none, centroid_shift):
+    report = fringe_report(curve, reference, (-1.0, 1.0))
+    assert list(report.maxima) == find_fringe_maxima(curve, 0.05)
+    if period_none:
+        assert report.period_estimate is None
+        with pytest.raises(AnalysisError):
+            fringe_period(curve)
+    else:
+        assert report.period_estimate == fringe_period(curve)
+    assert (len(find_fringe_maxima(reference, 0.05)) < 3) == centroid_shift
+    assert report.shift_vs_reference == fringe_shift(curve, reference)
+    assert report.pattern_interval == (-1.0, 1.0)
+    assert fringe_report(curve, reference).pattern_interval is None
 
 
 # ---------------------------------------------------------------- pattern interval

@@ -354,19 +354,33 @@ def test_fringes_builds_no_phase_space_field(capsys):
 
 
 def test_fringes_finds_each_curves_maxima_once(monkeypatch, capsys):
-    # the report's maxima, fringe_period's curve, and fringe_shift's curve and
-    # reference, whose maxima also seed its comb frequency
-    calls = []
+    # the curve's maxima and windowed component serve the printed maxima, the
+    # period and the shift; the reference's serve its comb frequency
+    maxima_calls, components = [], []
 
     def counted(curve, min_prominence):
-        calls.append(min_prominence)
+        maxima_calls.append(min_prominence)
         return find_fringe_maxima(curve, min_prominence)
 
+    def counted_component(curve):
+        components.append(curve)
+        return windowed_component(curve)
+
+    windowed_component = wigslits.analysis._windowed_component
     monkeypatch.setattr(wigslits.analysis, "find_fringe_maxima", counted)
-    monkeypatch.setattr(wigslits.cli, "find_fringe_maxima", counted)
+    monkeypatch.setattr(wigslits.analysis, "_windowed_component", counted_component)
     assert run("fringes", "--axis", "momentum", "--delta", "4") == 0
     capsys.readouterr()
-    assert len(calls) == 4
+    assert maxima_calls == [0.05, 0.05]
+    assert len(components) == 2
+
+
+@pytest.mark.parametrize("flag", ["--min-prominence", "--pattern-threshold"])
+def test_fringes_levels_are_fixed(flag):
+    # the maxima's prominence (0.05) and the pattern's threshold (e^-9) are not options
+    with pytest.raises(SystemExit) as exc:
+        run("fringes", "--axis", "momentum", flag, "0.1")
+    assert exc.value.code == 2
 
 
 def test_fringes_identical_inputs(capsys):

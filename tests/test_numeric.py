@@ -15,6 +15,7 @@ from wigslits import (
     SlitPairParams,
     TruncationError,
     WignerField,
+    common_support_interval,
     field_marginals,
     fringe_shift,
     momentum_marginal,
@@ -22,9 +23,11 @@ from wigslits import (
     normalized_params,
     position_marginal_propagated,
     propagate_free,
+    propagated_width,
     sample_wavefunction,
     shear_field,
     single_slit_field,
+    single_slit_marginal,
     two_slit_field,
     wigner_single_slit,
     wigner_transform,
@@ -107,17 +110,8 @@ def test_momentum_wavefunction_truncation_guard():
     psi = sample_wavefunction(normalized_params(), narrow)
     with pytest.raises(TruncationError):
         momentum_wavefunction(psi, P_GRID, 1.0)
-    with pytest.warns(RuntimeWarning):
-        momentum_wavefunction(psi, P_GRID, 1.0, on_truncation="warn")
     # explicit looser tolerance admits the narrow window
     momentum_wavefunction(psi, P_GRID, 1.0, edge_tol=1e-1)
-
-
-def test_momentum_wavefunction_rejects_unknown_truncation_action():
-    # the action is validated even when the window has decayed and no guard trips
-    psi = sample_wavefunction(normalized_params(), X_GRID)
-    with pytest.raises(ValueError, match="on_truncation"):
-        momentum_wavefunction(psi, P_GRID, 1.0, on_truncation="raise")
 
 
 # ---------------------------------------------------------------- Wigner transform
@@ -333,11 +327,11 @@ def test_interference_term_is_localized_between_the_slits():
     assert np.max(np.abs(cross[~outer, :])) > 0.1 * peak
 
 
-def _beam(params, slit):
+def _beam(params, slit, grid=X_GRID):
     # one slit's term of sample_wavefunction, with its e^{-+i delta/2} factor
-    x = X_GRID.points()
+    x = grid.points()
     values = np.exp(-((x - slit * params.d) ** 2) / (2 * params.x0**2)) * np.exp(-slit * 1j * params.delta / 2)
-    return SampledWavefunction(grid=X_GRID, values=values)
+    return SampledWavefunction(grid=grid, values=values)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.3, 4.0])
@@ -387,6 +381,41 @@ def test_fringe_shift_lives_in_the_discrete_interference_term(delta):
     assert fringe_shift(curve, reference) == pytest.approx(delta * 1.0 / (2 * 5.0), abs=2e-3)
 
 
+@pytest.mark.parametrize("n", [385, 512])
+@pytest.mark.parametrize("axis", ["position", "momentum"])
+@pytest.mark.parametrize("alpha", [0.0, 3.0])
+def test_pattern_interval_from_the_discrete_beams(alpha, axis, n):
+    # The abstract's second claim on the discrete engine: the pattern is
+    # fixed by the two beams' common projections. The delta-free beams' own
+    # densities, |psi_s|^2 after flight and |phibar_s|^2, give the interval
+    # of the closed-form single-slit projections bit for bit.
+    params = normalized_params(alpha=alpha)
+    x_grid = Grid1D(min=-12.0, max=12.0, n=n)
+    grid = x_grid if axis == "position" else Grid1D(min=-4.0, max=4.0, n=n)
+    if axis == "position":
+        # widened by whole steps to hold the spread packets (5 + 8 X ~ 30.3
+        # at alpha = 3), propagated, then cropped back to the window
+        h = x_grid.spacing
+        pad = math.ceil(24.0 / h)
+        wide = Grid1D(min=x_grid.min - pad * h, max=x_grid.max + pad * h, n=n + 2 * pad)
+        beams = (propagate_free(_beam(normalized_params(), s, wide), alpha, 1.0) for s in (1, -1))
+        densities = [np.abs(beam.values[pad : pad + n]) ** 2 for beam in beams]
+    else:
+        beams = (_beam(normalized_params(), s, x_grid) for s in (1, -1))
+        densities = [np.abs(momentum_wavefunction(beam, grid, 1.0)) ** 2 for beam in beams]
+    discrete = [MarginalCurve(axis, grid, v) for v in densities]
+    closed = [MarginalCurve(axis, grid, single_slit_marginal(params, axis, grid.points(), s)) for s in (1, -1)]
+
+    interval = common_support_interval(*discrete, math.exp(-9))
+    assert interval == common_support_interval(*closed, math.exp(-9))
+    # e^{-(u/w)^2} >= e^-9 for |u| <= 3w: |p| <= 3 hbar/x0, and |x -+ d| <= 3 X
+    reach = 3.0 if axis == "momentum" else 3 * propagated_width(params) - params.d
+    if reach < 0:
+        assert interval is None
+    else:
+        assert interval == pytest.approx((-reach, reach), abs=grid.spacing)
+
+
 # ---------------------------------------------------------------- propagation
 
 WIDE_GRID = Grid1D(min=-64.0, max=64.0, n=2049)  # odd count keeps 0 on the lattice
@@ -425,6 +454,15 @@ def test_propagate_truncation_guard():
         propagate_free(psi, 6.0, 1.0)
     with pytest.raises(ValueError):
         propagate_free(psi, -1.0, 1.0)
+    with pytest.warns(RuntimeWarning):
+        propagate_free(psi, 6.0, 1.0, on_truncation="warn")
+
+
+def test_propagate_free_rejects_unknown_truncation_action():
+    # the action is validated even when the window has decayed and no guard trips
+    psi = sample_wavefunction(normalized_params(), WIDE_GRID)
+    with pytest.raises(ValueError, match="on_truncation"):
+        propagate_free(psi, 6.0, 1.0, on_truncation="raise")
 
 
 def test_propagate_roundoff_floor_grows_with_n():
