@@ -58,6 +58,15 @@ _P_BLOCK = 256
 # evaluates (n / _TABLE_SPLIT + _TABLE_SPLIT) phases per column instead of n.
 _TABLE_SPLIT = 32
 
+# x bands of the Wigner transform's matrix product: each band multiplies only
+# the lags its rows reach, and a fixed count keeps reruns bit-identical.
+_ROW_BANDS = 8
+
+# Distance, in ulps of the largest shift, within which shear_field takes a
+# column's shift for the integer it rounds to. alpha * p_j / dx on a
+# lattice-aligned grid misses its integer by at most 1 ulp.
+_SHEAR_SNAP_ULPS = 4
+
 
 def _fft_roundoff_floor(n: int) -> float:
     """Smallest edge_tol free propagation on n points accepts.
@@ -192,11 +201,16 @@ def wigner_transform(
     theta = 2 dx p/hbar, the block's kernel exp(i k theta) is the product
     of a coarse phase table (K s, L/s rows) and a fine one (r, s rows),
     written into one complex buffer allocated once per call. Viewed as
-    floats, the lag products hold (Re g, -Im g) pairs and the kernel
-    (cos, sin) pairs, so the block of W is one real matrix product. Besides
-    the returned field and the lag products the scratch is O(n * block).
-    Fixed-order matrix products over fixed blocks evaluate all rows, so
-    repeated runs are bit-identical.
+    floats, the lag products (scaled by 4 dx) hold (Re g, -Im g) pairs and
+    the kernel (cos, sin) pairs, so the block of W is a real matrix
+    product. Row i reaches only lags k <= min(i, n - 1 - i), so x is cut
+    into ``_ROW_BANDS`` row bands, and each band multiplies a row-slice
+    view of the one lag-product array, up to the largest lag its rows
+    reach, by the matching columns of the kernel's float view; nothing is
+    copied per band, and bands without rows are skipped. Besides the
+    returned field and the lag products the scratch is O(n * block).
+    Fixed-order matrix products over fixed bands and blocks make repeated
+    runs bit-identical.
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
@@ -220,10 +234,18 @@ def wigner_transform(
     padded = np.zeros(n + 2 * n_lags, dtype=complex)
     padded[n_lags : n_lags + n] = psi.values
     behind = sliding_window_view(padded, n_lags)[1 : n + 1, ::-1]  # psi(x_i - k dx)
-    ahead = sliding_window_view(padded.conj(), n_lags)[n_lags : n_lags + n]  # conj(psi(x_i + k dx))
+    scaled = (4 * dx) * padded.conj()  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
+    ahead = sliding_window_view(scaled, n_lags)[n_lags : n_lags + n]  # 4 dx conj(psi(x_i + k dx))
     lag_products = behind * ahead  # conj(g), so that its float view pairs (Re g, -Im g)
-    lag_products[:, 0] *= 0.5  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
+    lag_products[:, 0] *= 0.5
     lag_floats = lag_products.view(float)
+    # row i reaches lags k <= min(i, n - 1 - i): each band's float columns up to its reach
+    edges = [b * n // _ROW_BANDS for b in range(_ROW_BANDS + 1)]
+    bands = [
+        (slice(lo, hi), 2 * (min(hi - 1, n - 1 - lo, (n - 1) // 2) + 1))
+        for lo, hi in zip(edges, edges[1:])
+        if lo < hi
+    ]
 
     coarse_lags = 2 * dx * np.arange(0, n_lags, _TABLE_SPLIT)
     fine_lags = 2 * dx * np.arange(_TABLE_SPLIT)
@@ -236,9 +258,9 @@ def wigner_transform(
         coarse, fine = (_phase_table(offsets, p[block], hbar).T for offsets in (coarse_lags, fine_lags))
         kernel_b = kernel[: b * n_lags].reshape(b, rows, _TABLE_SPLIT)
         np.multiply(coarse[:, :, None], fine[:, None, :], out=kernel_b)
-        w_b = w[:, block]  # BLAS writes the strided view in place
-        np.matmul(lag_floats, kernel_b.reshape(b, n_lags).view(float).T, out=w_b)
-        w_b *= 4 * dx
+        kernel_floats = kernel_b.reshape(b, n_lags).view(float)
+        for band, reach in bands:  # BLAS writes each strided view of w in place
+            np.matmul(lag_floats[band, :reach], kernel_floats[:, :reach].T, out=w[band, block])
 
     density = np.abs(phibar) ** 2
     peak = density.max()
@@ -310,15 +332,39 @@ def _propagated_density(params: SlitPairParams, x_grid: Grid1D, edge_tol: float)
 def shear_field(field: WignerField, alpha: float) -> WignerField:
     """Shear a phase-space field: output(x, p) = input(x - alpha p, p).
 
-    Linear interpolation along x; points pulled from outside the grid are
-    set to zero, which is exact whenever the producer guaranteed edge
-    decay. The p = 0 row is always left unchanged.
+    Column p_j moves by s_j = alpha p_j / dx samples, written m_j + t_j
+    with m_j an integer and 0 <= t_j < 1. Each column is copied m_j rows
+    down with slices, and a fraction t_j > 0 mixes two such shifted slices
+    with weights 1 - t_j and t_j, which is linear interpolation along x.
+    An s_j within ``_SHEAR_SNAP_ULPS`` ulps of max|s| of an integer is
+    snapped to it, so where alpha dp / dx is integral (the default grid at
+    alpha = 6) every column is an exact copy. Points pulled from outside the
+    grid are set to zero, which is exact whenever the producer guaranteed
+    edge decay; a column with |s_j| >= n is all zeros. The p = 0 row is
+    always left unchanged. A non-finite alpha raises ValueError.
     """
-    x = field.grid.x_axis.points()
-    p = field.grid.p_axis.points()
-    out = np.empty_like(field.values)
-    for j, pj in enumerate(p):
-        out[:, j] = np.interp(x - alpha * pj, x, field.values[:, j], left=0.0, right=0.0)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    values = field.values
+    n = field.grid.x_axis.n
+    shift = alpha * field.grid.p_axis.points() / field.grid.x_axis.spacing
+    shift = np.clip(shift, -n, n)  # |s| >= n empties the column; the cast cannot overflow
+    nearest = np.rint(shift)
+    snap = _SHEAR_SNAP_ULPS * np.spacing(np.abs(shift).max())
+    shift = np.where(np.abs(shift - nearest) <= snap, nearest, shift)
+    whole = np.floor(shift)
+    out = np.zeros_like(values)
+    for j, (m, t) in enumerate(zip(whole.astype(int).tolist(), (shift - whole).tolist())):
+        # out[i] = (1 - t) v[i - m] + t v[i - m - 1] wherever both samples lie on the grid
+        lo, hi = max(m if t == 0.0 else m + 1, 0), min(n + m, n)
+        if lo >= hi:
+            continue
+        if t == 0.0:
+            out[lo:hi, j] = values[lo - m : hi - m, j]
+        else:
+            column = out[lo:hi, j]
+            np.multiply(values[lo - m : hi - m, j], 1.0 - t, out=column)
+            column += t * values[lo - m - 1 : hi - m - 1, j]
     out.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=field.grid, values=out)
 

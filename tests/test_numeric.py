@@ -238,15 +238,24 @@ def test_blocked_transforms_match_dense_formula(n_p):
 SPLIT = wigslits.numeric._TABLE_SPLIT
 
 
-@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT - 1, 2 * SPLIT + 1, 4 * SPLIT + 1])
+@pytest.mark.parametrize(
+    "n", [SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT - 1, 2 * SPLIT + 1, 4 * SPLIT + 1, 12 * SPLIT + 3]
+)
 def test_phase_tables_match_dense_formula(n):
     # sample counts (momentum tables) and lag counts ceil(n/2) (Wigner
-    # tables) below, at and past the table split, and one past a multiple
+    # tables) below, at and past the table split, and one past a multiple;
+    # the last is no multiple of the row bands, so their reaches differ
     x_grid = Grid1D(min=-12.0, max=12.0, n=n)
     bandwidth = math.pi / (2 * x_grid.spacing)
     p_grid = Grid1D(min=-0.9 * bandwidth, max=0.9 * bandwidth, n=97)
     psi = sample_wavefunction(normalized_params(delta=4.0), x_grid)
     _assert_transforms_match_dense_formula(psi, p_grid, 1.0)
+
+
+def test_row_bands_outnumbering_rows_are_skipped(monkeypatch):
+    # with more bands than rows most bands are empty; the rest still give the dense field
+    monkeypatch.setattr(wigslits.numeric, "_ROW_BANDS", 3 * SPLIT)
+    test_phase_tables_match_dense_formula(SPLIT + 1)
 
 
 def test_momentum_wavefunction_matches_gaussian_integral_across_the_band():
@@ -506,6 +515,46 @@ def test_shear_zero_fills_outside_the_grid():
     sheared = shear_field(field, 10.0)
     assert sheared.values[0, 0] == 0.0  # pulled from x + 10, far outside
     np.testing.assert_array_equal(sheared.values[:, 1], np.ones(5))  # p = 0 row
+
+
+def _interp_shear(field, alpha):
+    # the reference: one np.interp per p column
+    x, p = field.grid.x_axis.points(), field.grid.p_axis.points()
+    columns = [np.interp(x - alpha * pj, x, field.values[:, j], left=0.0, right=0.0) for j, pj in enumerate(p)]
+    return np.stack(columns, axis=1)
+
+
+def test_shear_refuses_non_finite_alpha_and_empties_far_columns():
+    grid = Grid2D(Grid1D(min=-1.0, max=1.0, n=5), Grid1D(min=-1.0, max=1.0, n=3))
+    field = WignerField(grid=grid, values=np.arange(1.0, 16.0).reshape(5, 3))
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            shear_field(field, alpha)
+    far = shear_field(field, 1e300)  # shifts of 2e300 rows: every column but p = 0 leaves the grid
+    expected = np.zeros((5, 3))
+    expected[:, 1] = field.values[:, 1]
+    np.testing.assert_array_equal(far.values, expected)
+    # backwards and off the lattice (alpha dp / dx = 8.11...), the same linear interpolation
+    closed = two_slit_field(normalized_params(delta=4.0), Grid2D(X_GRID, Grid1D(min=-4.0, max=4.0, n=127)))
+    back = shear_field(closed, -6.0).values
+    assert np.max(np.abs(back - _interp_shear(closed, -6.0))) <= 1e-14 * np.abs(closed.values).max()
+
+
+def test_aligned_shear_is_an_exact_lattice_shift():
+    # on the default window alpha dp / dx = 2 at alpha = 6, so column j moves by
+    # m_j = 2 j - (n - 1) whole rows and is copied bit for bit, zero-filled
+    base = two_slit_field(normalized_params(delta=4.0), Grid2D(X_GRID, P_GRID))
+    n = X_GRID.n
+    shifts = 2 * np.arange(P_GRID.n) - (n - 1)
+    sheared = shear_field(base, 6.0).values
+    for j, m in enumerate(shifts):
+        padded = np.concatenate([np.zeros(n), base.values[:, j], np.zeros(n)])
+        np.testing.assert_array_equal(sheared[:, j], padded[n - m : 2 * n - m])
+    # shearing back restores every sample that stayed on the grid, bit for bit
+    restored = shear_field(WignerField(grid=base.grid, values=sheared), -6.0).values
+    stayed = (0 <= np.arange(n)[:, None] + shifts) & (np.arange(n)[:, None] + shifts < n)
+    np.testing.assert_array_equal(restored[stayed], base.values[stayed])
+    np.testing.assert_array_equal(restored[~stayed], 0.0)
 
 
 def test_shear_of_initial_field_matches_wigner_of_propagated_wavefunction():
