@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import Grid2D, SlitPairParams, WignerField, propagated_width
+from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _require_finite, propagated_width
 
 __all__ = [
     "FluxSpec",
@@ -54,32 +54,30 @@ class FluxSpec:
     phi0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"flux must be finite, got {self.phi!r}")
-        if not (math.isfinite(self.phi0) and self.phi0 > 0):
-            raise ValueError(f"flux quantum must be finite and > 0, got {self.phi0!r}")
+        _require_finite("flux", self.phi)
+        if not _require_finite("flux quantum", self.phi0) > 0:
+            raise ValueError(f"flux quantum must be > 0, got {self.phi0!r}")
 
 
 @dataclass(frozen=True)
 class PulseSeries:
-    """Sampled time series of a pulse (voltage, or magnetic-moment energy)."""
+    """Sampled time series of a pulse (voltage, or magnetic-moment energy).
+
+    Both arrays are checked and frozen like every :mod:`wigslits.model`
+    container's: a writeable input is copied, never frozen in place.
+    """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise ValueError("times and values must be 1-D arrays of equal length")
-        if t.size < 2:
-            raise ValueError(f"pulse series needs >= 2 samples, got {t.size}")
+        n = np.size(self.times)
+        if n < 2:
+            raise ValueError(f"pulse series needs >= 2 samples, got {n}")
+        t = _frozen_array(self.times, float, (n,), "pulse times")
+        v = _frozen_array(self.values, float, (n,), "pulse values")
         if not np.all(np.diff(t) > 0):
             raise ValueError("pulse times must be strictly ascending")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("pulse series contains non-finite values")
-        t.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -214,30 +212,28 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
     raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
 
 
+def _sheared_field(formula, params: SlitPairParams, grid: Grid2D, *args) -> WignerField:
+    """:func:`_sheared` over the grid's x column and p row, as a field that adopts the one output."""
+    x, p = grid.x_axis.points()[:, None], grid.p_axis.points()[None, :]
+    values = _sheared(formula, params, x, p, *args)
+    values.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
+    return WignerField(grid=grid, values=values)
+
+
 def two_slit_field(params: SlitPairParams, grid: Grid2D) -> WignerField:
     """Sample the (propagated) two-slit Wigner field on a phase-space grid.
 
-    The field adopts the one array :func:`wigner_two_slit_propagated` fills.
+    Bit for bit :func:`wigner_two_slit_propagated` on the grid's points.
     """
-    x = grid.x_axis.points()[:, None]
-    p = grid.p_axis.points()[None, :]
-    values = wigner_two_slit_propagated(params, x, p)
-    values.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
-    return WignerField(grid=grid, values=values)
+    return _sheared_field(wigner_two_slit, params, grid)
 
 
 def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> WignerField:
     """Sample one sheared single-slit Wigner field on a phase-space grid.
 
-    Evaluated like :func:`wigner_two_slit_propagated`, in blocks of x rows
-    into the field's one array; bit for bit
-    ``wigner_single_slit(params, x - alpha p, p, slit)``.
+    Bit for bit ``wigner_single_slit(params, x - alpha p, p, slit)``.
     """
-    x = grid.x_axis.points()[:, None]
-    p = grid.p_axis.points()[None, :]
-    values = _sheared(wigner_single_slit, params, x, p, slit)
-    values.flags.writeable = False
-    return WignerField(grid=grid, values=values)
+    return _sheared_field(wigner_single_slit, params, grid, slit)
 
 
 def simulate(params: SlitPairParams, grid: Grid2D) -> Tuple[WignerField, np.ndarray, np.ndarray]:
@@ -255,10 +251,9 @@ def phase_from_flux(flux: FluxSpec) -> float:
 
 
 def _pulse_phase(path1: PulseSeries, path2: PulseSeries, scale: float) -> float:
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale!r}")
+    scale = _require_finite("scale", scale)
     integral1, integral2 = path1.integral(), path2.integral()
-    delta = float(scale) * (integral1 - integral2)
+    delta = scale * (integral1 - integral2)
     if not math.isfinite(delta):
         raise ValueError(f"phase overflows for scale {scale!r} and pulse integrals {integral1!r}, {integral2!r}")
     return delta

@@ -230,11 +230,6 @@ def cmd_fringes(args) -> int:
 # ---------------------------------------------------------------- phase
 
 
-def _pulse_from_csv(path: str) -> PulseSeries:
-    times, values = _read_two_column_csv(path, "t,value")
-    return PulseSeries(times=times, values=values)
-
-
 def cmd_phase(args) -> int:
     modes = [args.flux is not None, args.electric is not None, args.neutron is not None]
     if sum(modes) != 1:
@@ -247,7 +242,7 @@ def cmd_phase(args) -> int:
         if args.scale is None:
             raise ValueError("pulse modes require --scale")
         paths = args.electric if args.electric is not None else args.neutron
-        path1, path2 = (_pulse_from_csv(p) for p in paths)
+        path1, path2 = (PulseSeries(*_read_two_column_csv(p, "t,value")) for p in paths)
         convert = phase_from_voltage_pulses if args.electric is not None else phase_from_magnetic_pulses
         delta = convert(path1, path2, args.scale)
     sys.stdout.write(f"{delta:.12g}\n")
@@ -265,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p):
-        p.add_argument("--d", type=float, required=True, help="half slit separation (raw units)")
+    def add_params(p, d=None):
+        p.add_argument("--d", type=float, default=d, required=d is None, help="half slit separation (raw units)")
         p.add_argument("--x0", type=float, default=1.0, help="slit Gaussian width")
         p.add_argument("--hbar", type=float, default=1.0, help="action constant")
         p.add_argument("--alpha", type=float, default=0.0, help="free-flight parameter t/m")
@@ -297,11 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--curve", dest="curve_file", help="marginal CSV to analyze")
     fr.add_argument("--reference", dest="reference_file", help="reference marginal CSV")
     fr.add_argument("--axis", choices=("position", "momentum"), help="axis (parameter mode)")
-    fr.add_argument("--d", type=float, default=5.0)
-    fr.add_argument("--x0", type=float, default=1.0)
-    fr.add_argument("--hbar", type=float, default=1.0)
-    fr.add_argument("--alpha", type=float, default=0.0)
-    fr.add_argument("--delta", type=float, default=0.0, help="phase of the analyzed curve")
+    add_params(fr, d=5.0)
     fr.add_argument("--ref-delta", type=float, default=0.0, help="phase of the reference curve")
     add_grid(fr)
     fr.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -75,9 +75,19 @@ def propagated_width(params: SlitPairParams) -> float:
     """Width of each slit envelope after free flight.
 
     Equals sqrt(alpha^2 hbar^2 + x0^4) / x0; reduces to x0 at alpha = 0 and
-    grows monotonically with alpha.
+    grows monotonically with alpha. Raises ValueError where the formula
+    overflows or gives a zero or non-finite width (extreme finite params).
     """
-    return math.sqrt(params.alpha**2 * params.hbar**2 + params.x0**4) / params.x0
+    try:
+        width = math.sqrt(params.alpha**2 * params.hbar**2 + params.x0**4) / params.x0
+    except OverflowError:
+        width = math.inf
+    if not 0 < width < math.inf:
+        raise ValueError(
+            f"propagated width is {width!r}, not finite and > 0, for "
+            f"x0={params.x0!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
+        )
+    return width
 
 
 @dataclass(frozen=True)
@@ -146,7 +156,7 @@ def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
     else:
         arr = np.array(values, dtype=dtype)
     if arr.shape != shape:
-        raise ValueError(f"{what} shape {arr.shape} does not match grid shape {shape}")
+        raise ValueError(f"{what} shape {arr.shape} does not match expected shape {shape}")
     # min and max propagate NaN and expose +-inf without an n x n_p isfinite mask
     parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
     if not all(math.isfinite(part.min()) and math.isfinite(part.max()) for part in parts):

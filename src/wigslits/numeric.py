@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SampledWavefunction, SlitPairParams, WignerField
-from .model import propagated_width
+from .model import _require_finite, propagated_width
 
 __all__ = [
     "DEFAULT_EDGE_DECAY_TOL",
@@ -296,7 +296,7 @@ def propagate_free(
     which no window could meet, raises ValueError. The floor is 1e-15 of
     peak up to 4096 points and grows in proportion to n beyond.
     """
-    if alpha < 0:
+    if _require_finite("alpha", alpha) < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     n = psi.grid.n
     floor = _fft_roundoff_floor(n)
@@ -343,8 +343,7 @@ def shear_field(field: WignerField, alpha: float) -> WignerField:
     edge decay; a column with |s_j| >= n is all zeros. The p = 0 row is
     always left unchanged. A non-finite alpha raises ValueError.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    _require_finite("alpha", alpha)
     values = field.values
     n = field.grid.x_axis.n
     shift = alpha * field.grid.p_axis.points() / field.grid.x_axis.spacing

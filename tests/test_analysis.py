@@ -67,6 +67,8 @@ def test_find_fringe_maxima_flat_curve():
     grid = Grid1D(min=0.0, max=1.0, n=64)
     flat = MarginalCurve(axis_label="position", grid=grid, values=np.ones(64))
     assert find_fringe_maxima(flat, 0.0) == []
+    zero = MarginalCurve(axis_label="position", grid=grid, values=np.zeros(64))
+    assert find_fringe_maxima(zero, 0.05) == []
 
 
 def test_find_fringe_maxima_single_gaussian():
@@ -293,6 +295,13 @@ def test_pattern_interval_is_phase_independent():
     a = common_projection_interval(*_slit_fields(alpha=0.0, delta=0.0), "momentum", E_MINUS_9)
     b = common_projection_interval(*_slit_fields(alpha=0.0, delta=4.0), "momentum", E_MINUS_9)
     assert a == b
+
+
+def test_support_interval_of_a_zero_curve_is_none():
+    c1, _ = _slit_curves(normalized_params(), "momentum", P_AXIS)
+    zero = MarginalCurve("momentum", P_AXIS, np.zeros(P_AXIS.n))
+    assert common_support_interval(c1, zero, 0.5) is None
+    assert common_support_interval(zero, c1, 0.5) is None
 
 
 def test_pattern_interval_validation():

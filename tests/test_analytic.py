@@ -391,6 +391,21 @@ def test_pulse_series_validation():
         PulseSeries(times=np.array([0.0, 0.0]), values=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         PulseSeries(times=np.array([0.0, 1.0]), values=np.array([1.0]))
+    for times, values in (([0, 1], [math.nan, 1]), ([0, 1], [1, -math.inf]), ([0, math.inf], [1, 1])):
+        with pytest.raises(ValueError, match="non-finite"):
+            PulseSeries(times=times, values=values)
+
+
+def test_pulse_series_leaves_the_callers_arrays_alone():
+    # like every model container: a writeable input is copied, never frozen in place
+    t, v = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 0.5])
+    series = PulseSeries(times=t, values=v)
+    assert t.flags.writeable and v.flags.writeable
+    assert not (np.shares_memory(series.times, t) or np.shares_memory(series.values, v))
+    assert not (series.times.flags.writeable or series.values.flags.writeable)
+    before = series.integral()
+    t[1], v[1] = 0.5, -7.0
+    assert series.integral() == before == 2.75
 
 
 def test_pulse_trapezoid_matches_numpy_reference():

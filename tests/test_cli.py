@@ -301,6 +301,29 @@ def test_simulate_rejects_edge_tol_below_fft_roundoff(tmp_path, capsys):
     assert run(*wide, "--edge-tol", "1e-15", "--out", str(tmp_path / "at")) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--d", "5", "--hbar", "1e300"],
+        ["simulate", "--d", "5", "--alpha", "2e154"],
+        ["simulate", "--d", "5", "--x0", "1e-300"],
+        ["fringes", "--axis", "position", "--alpha", "1e300"],
+    ],
+    ids=["simulate-hbar", "simulate-alpha", "simulate-x0", "fringes-position-alpha"],
+)
+def test_extreme_slit_pair_width_is_a_usage_error(tmp_path, capsys, argv):
+    # finite parameters whose propagated width overflows or vanishes: refused
+    # by name, not an OverflowError or ZeroDivisionError traceback
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "propagated width" in err and all(name in err for name in ("x0=", "alpha=", "hbar="))
+    assert not (tmp_path / "out").exists()
+
+
+def test_fringes_momentum_axis_needs_no_propagated_width(capsys):
+    assert run("fringes", "--axis", "momentum", "--hbar", "1e300") == 0
+
+
 # ---------------------------------------------------------------- fringes
 
 
@@ -427,6 +450,17 @@ def test_fringes_flat_curve_exit_code(tmp_path, capsys):
     assert "analysis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [((0.0,), "at least 2 data rows"), ((0.0, 0.1, 0.3, 0.4), "ascending uniform grid")],
+)
+def test_fringes_rejects_short_or_uneven_curve_files(tmp_path, capsys, coords, message):
+    path = tmp_path / "curve.csv"
+    path.write_text("coord,value\n" + "".join(f"{c},1.0\n" for c in coords))
+    assert run("fringes", "--curve", str(path), "--reference", str(path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_fringes_requires_both_files(capsys):
     assert run("fringes", "--curve", "only.csv") == 2
     assert run("fringes") == 2  # neither files nor --axis
@@ -494,7 +528,12 @@ def test_phase_rejects_non_finite_input(tmp_path, capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_phase_flag_validation(capsys):
+def test_phase_flag_validation(tmp_path, capsys):
     assert run("phase") == 2
     assert run("phase", "--flux", "1") == 2  # missing quantum
     assert run("phase", "--flux", "1", "--flux-quantum", "1", "--electric", "a", "b") == 2
+    pulse = _pulse_file(tmp_path / "pulse.csv", [(0.0, 1.0), (1.0, 1.0)])
+    for mode in ("--electric", "--neutron"):
+        capsys.readouterr()
+        assert run("phase", mode, pulse, pulse) == 2
+        assert "require --scale" in capsys.readouterr().err

@@ -57,6 +57,22 @@ def test_propagated_width_values():
     assert propagated_width(normalized_params(alpha=6.0)) == pytest.approx(math.sqrt(37.0), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(hbar=1e300),  # alpha^2 hbar^2 raises OverflowError
+        dict(alpha=2e154),  # so does alpha^2
+        dict(alpha=1e154, hbar=1e10),  # their product overflows to inf without raising
+        dict(x0=1e100),  # x0^4 raises OverflowError
+        dict(x0=1e-300),  # x0^4 underflows and the width is 0
+    ],
+)
+def test_propagated_width_refuses_overflow_and_zero_width(kwargs):
+    params = SlitPairParams(**{"x0": 1.0, "d": 5.0, **kwargs})
+    with pytest.raises(ValueError, match=r"propagated width .* x0=.*, alpha=.*, hbar="):
+        propagated_width(params)
+
+
 @given(
     a1=st.floats(min_value=0.0, max_value=50.0),
     a2=st.floats(min_value=0.0, max_value=50.0),

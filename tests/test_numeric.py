@@ -194,19 +194,23 @@ def test_wigner_transform_total_mass():
 
 
 def _dense_transforms(psi, p_grid, hbar):
-    # the unblocked formulas, one n x n_p kernel each: the reference for p blocks and phase tables
-    n, dx = psi.grid.n, psi.grid.spacing
-    x, p = psi.grid.points(), p_grid.points()
+    # the unblocked formulas, one n x n_p kernel each: the reference for p
+    # blocks and phase tables. The kernels and sums are taken in long double,
+    # since angles x p / hbar and 2 dx k p / hbar of hundreds of radians
+    # rounded to double alone are off by ~1e-14 of peak at n ~ 500.
+    ld = np.longdouble
+    n, dx = psi.grid.n, ld(psi.grid.spacing)
+    x, p = psi.grid.points().astype(ld), p_grid.points().astype(ld)
     weights = np.full(n, dx)
     weights[[0, -1]] *= 0.5
-    phibar = (psi.values * weights) @ np.exp(1j * np.outer(x, p) / hbar)
+    phibar = (psi.values.astype(np.clongdouble) * weights) @ np.exp(1j * np.outer(x, p) / ld(hbar))
     half = (n + 1) // 2
-    g = np.zeros((n, half), dtype=complex)
-    conj = np.conj(psi.values)
+    g = np.zeros((n, half), dtype=np.clongdouble)
+    values = psi.values.astype(np.clongdouble)
     for k in range(half):
-        g[k : n - k, k] = conj[: n - 2 * k] * psi.values[2 * k :]
+        g[k : n - k, k] = np.conj(values[: n - 2 * k]) * values[2 * k :]
     g[:, 0] *= 0.5
-    theta = (2 * dx / hbar) * np.outer(np.arange(half), p)
+    theta = (2 * dx / ld(hbar)) * np.outer(np.arange(half, dtype=ld), p)
     return 4 * dx * (g.real @ np.cos(theta) - g.imag @ np.sin(theta)), phibar
 
 
@@ -239,12 +243,14 @@ SPLIT = wigslits.numeric._TABLE_SPLIT
 
 
 @pytest.mark.parametrize(
-    "n", [SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT - 1, 2 * SPLIT + 1, 4 * SPLIT + 1, 12 * SPLIT + 3]
+    "n",
+    [SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT - 1, 2 * SPLIT + 1, 4 * SPLIT + 1, 12 * SPLIT + 3, 16 * SPLIT + 3],
 )
 def test_phase_tables_match_dense_formula(n):
     # sample counts (momentum tables) and lag counts ceil(n/2) (Wigner
     # tables) below, at and past the table split, and one past a multiple;
-    # the last is no multiple of the row bands, so their reaches differ
+    # the last two are no multiple of the row bands, so their reaches
+    # differ, and the largest reaches angles of ~700 rad
     x_grid = Grid1D(min=-12.0, max=12.0, n=n)
     bandwidth = math.pi / (2 * x_grid.spacing)
     p_grid = Grid1D(min=-0.9 * bandwidth, max=0.9 * bandwidth, n=97)
@@ -390,6 +396,41 @@ def test_fringe_shift_lives_in_the_discrete_interference_term(delta):
     assert fringe_shift(curve, reference) == pytest.approx(delta * 1.0 / (2 * 5.0), abs=2e-3)
 
 
+def test_sheared_interference_term_moves_the_position_comb():
+    # The abstract's first claim after flight, on the discrete engine: the
+    # interference term W(psi) - W(psi+) - W(psi-), sheared by alpha = 6 and
+    # projected on x, moves by delta x0^2 X^2 / (2 alpha d hbar) (criterion
+    # 04), while the sheared beam projections do not move. The window holds
+    # the sheared field (|x - alpha p| <= 8 for |p| <= 4), alpha dp / dx = 1
+    # makes the shear whole-row copies, and the comb is read on |x| <= 12.
+    alpha, delta = 6.0, 4.0
+    x_grid = Grid1D(min=-40.0, max=40.0, n=1001)
+    p_grid = Grid1D(min=-4.0, max=4.0, n=601)
+    weights = wigslits.numeric._trapezoid_weights(p_grid) / (2 * math.pi)
+
+    def projection(values):
+        return shear_field(WignerField(Grid2D(x_grid, p_grid), values), alpha).values @ weights
+
+    def projections(phase):
+        params = normalized_params(delta=phase)
+        pair = wigner_transform(sample_wavefunction(params, x_grid), p_grid, params.hbar).values
+        beams = [wigner_transform(_beam(params, s, x_grid), p_grid, params.hbar).values for s in (1, -1)]
+        return projection(pair - beams[0] - beams[1]), [projection(beam) for beam in beams]
+
+    cross, beams = projections(delta)
+    cross_ref, beams_ref = projections(0.0)
+    for beam, beam_ref in zip(beams, beams_ref):
+        assert np.max(np.abs(beam - beam_ref)) <= 1e-12 * beam_ref.max()
+    lo, hi = x_grid.index_of(-12.0), x_grid.index_of(12.0)
+    window = Grid1D(min=x_grid.point(lo), max=x_grid.point(hi), n=hi - lo + 1)
+    curve, reference = (
+        MarginalCurve("position", window, (c + sum(beams_ref))[lo : hi + 1]) for c in (cross, cross_ref)
+    )
+    x0, d, hbar, big = 1.0, 5.0, 1.0, math.sqrt(37.0)
+    expected = delta * x0**2 * big**2 / (2 * alpha * d * hbar)  # 4 * 37 / 60
+    assert fringe_shift(curve, reference) == pytest.approx(expected, abs=2e-2)
+
+
 @pytest.mark.parametrize("n", [385, 512])
 @pytest.mark.parametrize("axis", ["position", "momentum"])
 @pytest.mark.parametrize("alpha", [0.0, 3.0])
@@ -465,6 +506,21 @@ def test_propagate_truncation_guard():
         propagate_free(psi, -1.0, 1.0)
     with pytest.warns(RuntimeWarning):
         propagate_free(psi, 6.0, 1.0, on_truncation="warn")
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_propagate_free_refuses_non_finite_alpha(alpha):
+    # nan and inf pass an alpha < 0 test; without a finite check they would
+    # end as a non-finite wavefunction rather than a named refusal
+    psi = sample_wavefunction(normalized_params(), WIDE_GRID)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        propagate_free(psi, alpha, 1.0)
+
+
+def test_all_zero_wavefunction_passes_the_edge_check():
+    # no peak to measure the edges against: the guard lets it through
+    psi = SampledWavefunction(grid=X_GRID, values=np.zeros(X_GRID.n))
+    assert not momentum_wavefunction(psi, P_GRID, 1.0).any()
 
 
 def test_propagate_free_rejects_unknown_truncation_action():
