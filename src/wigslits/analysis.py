@@ -28,7 +28,6 @@ from .model import FringeReport, MarginalCurve, WignerField
 from .numeric import field_marginal
 
 __all__ = [
-    "DEFAULT_MIN_PROMINENCE",
     "find_fringe_maxima",
     "fringe_period",
     "fringe_shift",
@@ -37,26 +36,23 @@ __all__ = [
     "common_projection_interval",
 ]
 
-# Prominence floor (fraction of curve max) used when an operation has to
-# extract peaks internally; keeps washed-out outer fringes from skewing the
-# initial period estimate.
-DEFAULT_MIN_PROMINENCE = 0.05
+# Prominence floor of a fringe maximum, as a fraction of the curve max; keeps
+# washed-out outer fringes from skewing the initial period estimate.
+_MIN_PROMINENCE = 0.05
 
 
-def find_fringe_maxima(curve: MarginalCurve, min_prominence: float) -> List[float]:
-    """Positions of local maxima with prominence >= min_prominence * max(curve).
+def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
+    """Positions of local maxima with prominence >= ``_MIN_PROMINENCE`` (0.05) * max(curve).
 
     Each discrete maximum is refined to sub-grid accuracy by the vertex of
     the parabola through it and its two neighbors. Returns an ascending
     list; empty when the curve has no prominent peaks (e.g. it is flat).
     """
-    if not min_prominence >= 0:
-        raise ValueError(f"min_prominence must be >= 0, got {min_prominence}")
     values = curve.values
     peak = values.max()
     if peak <= 0:
         return []
-    indices = _prominent_peaks(values, min_prominence * peak)
+    indices = _prominent_peaks(values, _MIN_PROMINENCE * peak)
     points = curve.grid.points()
     spacing = curve.grid.spacing
     out = []
@@ -223,7 +219,7 @@ def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
 
 def fringe_period(curve: MarginalCurve) -> float:
     """Spacing of consecutive fringe maxima (2 pi over the comb frequency)."""
-    maxima = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE)
+    maxima = find_fringe_maxima(curve)
     return 2 * np.pi / _comb_frequency(_windowed_component(curve), maxima)
 
 
@@ -242,12 +238,12 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     carry a period.
     """
     _require_comparable(curve, reference)
-    return _shift(find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE), _windowed_component(curve), reference)
+    return _shift(find_fringe_maxima(curve), _windowed_component(curve), reference)
 
 
 def _shift(maxima: List[float], component: Callable[[float], complex], reference: MarginalCurve) -> float:
     """:func:`fringe_shift` of the curve with these prominent maxima and windowed component."""
-    ref_maxima = find_fringe_maxima(reference, DEFAULT_MIN_PROMINENCE)
+    ref_maxima = find_fringe_maxima(reference)
     if not maxima or not ref_maxima:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
 
@@ -273,12 +269,12 @@ def fringe_report(
 ) -> FringeReport:
     """Report of ``curve`` against ``reference``, with each curve's maxima and component found once.
 
-    The maxima (at ``DEFAULT_MIN_PROMINENCE``) seed the period search; the
-    period (None below 3 maxima) and the shift equal :func:`fringe_period`
-    and :func:`fringe_shift` bit for bit; ``pattern_interval`` is passed through.
+    The maxima seed the period search; the period (None below 3 maxima) and
+    the shift equal :func:`fringe_period` and :func:`fringe_shift` bit for
+    bit; ``pattern_interval`` is passed through.
     """
     _require_comparable(curve, reference)
-    maxima, component = find_fringe_maxima(curve, DEFAULT_MIN_PROMINENCE), _windowed_component(curve)
+    maxima, component = find_fringe_maxima(curve), _windowed_component(curve)
     try:
         period = 2 * np.pi / _comb_frequency(component, maxima)
     except AnalysisError:

@@ -219,7 +219,7 @@ def cmd_fringes(args) -> int:
             raise ValueError("parameter mode needs --axis (or pass --curve/--reference files)")
         curve, reference, interval = _fringes_curves_from_params(args)
 
-    text = json.dumps(fringe_report(curve, reference, interval).to_dict(), indent=2) + "\n"
+    text = json.dumps(dataclasses.asdict(fringe_report(curve, reference, interval)), indent=2) + "\n"
     if args.out:
         _write_atomic(Path(args.out), [text])
     else:

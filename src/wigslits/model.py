@@ -115,18 +115,8 @@ class Grid1D:
         return (self.max - self.min) / (self.n - 1)
 
     def points(self) -> np.ndarray:
-        # min + i*spacing rather than linspace, so point(i) and points() agree bit-for-bit
+        # min + i*spacing rather than linspace: the CSV coordinates are these exact floats
         return self.min + np.arange(self.n) * self.spacing
-
-    def point(self, i: int) -> float:
-        if not 0 <= i < self.n:
-            raise IndexError(f"grid index {i} out of range [0, {self.n})")
-        return self.min + i * self.spacing
-
-    def index_of(self, value: float) -> int:
-        """Index of the nearest grid point (clipped to the grid)."""
-        i = round((float(value) - self.min) / self.spacing)
-        return min(max(i, 0), self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -230,11 +220,3 @@ class FringeReport:
         if self.pattern_interval is not None:
             lo, hi = self.pattern_interval
             object.__setattr__(self, "pattern_interval", (float(lo), float(hi)))
-
-    def to_dict(self) -> dict:
-        return {
-            "maxima": list(self.maxima),
-            "period_estimate": self.period_estimate,
-            "shift_vs_reference": self.shift_vs_reference,
-            "pattern_interval": list(self.pattern_interval) if self.pattern_interval else None,
-        }

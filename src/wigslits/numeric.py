@@ -320,9 +320,15 @@ def _propagated_density(params: SlitPairParams, x_grid: Grid1D, edge_tol: float)
     x0), X the propagated width, on both sides, propagated and cropped back.
     """
     h = x_grid.spacing
-    reach = params.d + 8.0 * max(propagated_width(params), params.x0)
-    m_lo = max(0, math.ceil((reach + x_grid.min) / h))
-    m_hi = max(0, math.ceil((reach - x_grid.max) / h))
+    width = propagated_width(params)
+    reach = params.d + 8.0 * max(width, params.x0)
+    steps = ((reach + x_grid.min) / h, (reach - x_grid.max) / h)
+    if not all(math.isfinite(m) for m in steps):
+        raise ValueError(
+            f"propagated width {width!r} overflows the step count of a grid widened by steps of "
+            f"{h!r}, for x0={params.x0!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
+        )
+    m_lo, m_hi = (max(0, math.ceil(m)) for m in steps)
     n_wide = x_grid.n + m_lo + m_hi
     wide = Grid1D(min=x_grid.min - m_lo * h, max=x_grid.min + (n_wide - 1 - m_lo) * h, n=n_wide)
     evolved = propagate_free(sample_wavefunction(params, wide), params.alpha, params.hbar, edge_tol=edge_tol)
@@ -416,8 +422,10 @@ def simulate(
     of the unsheared field, which free flight leaves invariant. ``grid`` is
     in raw units; every guard applies ``edge_tol``.
     """
+    # first: the widened grid needs the propagated width, so an extreme slit
+    # pair is refused before psi is sampled (where x0**2 would under- or overflow)
+    x_density = _propagated_density(params, grid.x_axis, edge_tol)
     psi = sample_wavefunction(params, grid.x_axis)
     base = wigner_transform(psi, grid.p_axis, params.hbar, edge_tol=edge_tol)
     field = shear_field(base, params.alpha)
-    x_density = _propagated_density(params, grid.x_axis, edge_tol)
     return field, x_density, field_marginal(base, "momentum", params.hbar).values

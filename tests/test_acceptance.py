@@ -190,12 +190,14 @@ def test_criterion_09_resting_field_structure():
     field = two_slit_field(params, GRID)
     values = field.values
     peak = values.max()
+    xs, ps = X_GRID.points(), P_GRID.points()
 
     # slit lobes: away from the oscillatory center, the profile along the
-    # p ~ 0 row must carry exactly two positive bumps, one per slit
-    row = values[:, P_GRID.index_of(0.0)]
+    # p ~ 0 row (P_GRID.n // 2, nearest p = 0) must carry exactly two
+    # positive bumps, one per slit
+    row = values[:, P_GRID.n // 2]
     peak_idx, _ = find_peaks(row, prominence=0.05 * row.max())
-    lobe_x = [X_GRID.point(int(i)) for i in peak_idx if abs(X_GRID.point(int(i))) > 2.5]
+    lobe_x = [xs[i] for i in peak_idx if abs(xs[i]) > 2.5]
     lobes_ok = (
         len(lobe_x) == 2
         and lobe_x[0] == pytest.approx(-5.0, abs=0.1)
@@ -205,19 +207,19 @@ def test_criterion_09_resting_field_structure():
 
     # interference term: strong negativity confined to the central region
     i_min, j_min = np.unravel_index(np.argmin(values), values.shape)
-    min_ok = values.min() < -0.5 * peak and abs(X_GRID.point(int(i_min))) < 2.5
+    min_ok = values.min() < -0.5 * peak and abs(xs[i_min]) < 2.5
 
-    curve = momentum_marginal(params, P_GRID.points())
+    curve = momentum_marginal(params, ps)
     step = P_GRID.spacing
     zeros_ok = True
     for target in (math.pi / 10, -math.pi / 10):
-        local = np.where(np.abs(P_GRID.points() - target) <= 0.25)[0]
-        at = P_GRID.point(int(local[np.argmin(curve[local])]))
+        local = np.where(np.abs(ps - target) <= 0.25)[0]
+        at = ps[local[np.argmin(curve[local])]]
         zeros_ok &= abs(at - target) <= step
     ok = lobes_ok and min_ok and zeros_ok
     _report(9, "resting field structure", ok,
             f"slit lobes at {[f'{v:.3f}' for v in lobe_x]}, field min {values.min()/peak:.3f} of peak "
-            f"at X={X_GRID.point(int(i_min)):.2f}, marginal zeros near +-pi/10: {zeros_ok}")
+            f"at X={xs[i_min]:.2f}, marginal zeros near +-pi/10: {zeros_ok}")
 
 
 def test_criterion_10_cli_determinism_and_roundtrip(tmp_path, capsys):

@@ -50,44 +50,38 @@ RAW_P_MAXIMA = [-1.8153032, -1.209181, -0.6042646, 0.0, 0.6042646, 1.209181, 1.8
 
 def test_find_fringe_maxima_matches_refined_argmax():
     curve = _p_curve(0.0, grid=Grid1D(min=-4.0, max=4.0, n=2001))
-    found = find_fringe_maxima(curve, 0.01)
-    assert len(found) == len(RAW_P_MAXIMA)
-    for got, want in zip(found, RAW_P_MAXIMA):
+    found = find_fringe_maxima(curve)  # the 5% floor drops the outermost pair
+    assert len(found) == len(RAW_P_MAXIMA) - 2
+    for got, want in zip(found, RAW_P_MAXIMA[1:-1]):
         assert got == pytest.approx(want, abs=1e-3)
 
 
 def test_find_fringe_maxima_prominence_filters_outer_fringes():
     curve = _p_curve(0.0)
     # outermost comb teeth carry ~3.3% prominence; a 5% floor drops them
-    assert len(find_fringe_maxima(curve, 0.05)) == 5
-    assert len(find_fringe_maxima(curve, 0.01)) == 7
+    assert len(find_fringe_maxima(curve)) == 5
+    assert len(_prominent_peaks(curve.values, 0.01 * curve.values.max())) == 7
 
 
 def test_find_fringe_maxima_flat_curve():
     grid = Grid1D(min=0.0, max=1.0, n=64)
     flat = MarginalCurve(axis_label="position", grid=grid, values=np.ones(64))
-    assert find_fringe_maxima(flat, 0.0) == []
+    assert find_fringe_maxima(flat) == []
     zero = MarginalCurve(axis_label="position", grid=grid, values=np.zeros(64))
-    assert find_fringe_maxima(zero, 0.05) == []
+    assert find_fringe_maxima(zero) == []
 
 
 def test_find_fringe_maxima_single_gaussian():
     grid = Grid1D(min=-4.0, max=4.0, n=257)  # center lands on the lattice
     values = np.exp(-(grid.points() ** 2) / 0.5)
     curve = MarginalCurve(axis_label="position", grid=grid, values=values)
-    found = find_fringe_maxima(curve, 0.1)
+    found = find_fringe_maxima(curve)
     assert len(found) == 1
     assert found[0] == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("prominence", [-0.1, math.nan])
-def test_find_fringe_maxima_rejects_negative_prominence(prominence):
-    with pytest.raises(ValueError):
-        find_fringe_maxima(_p_curve(0.0), prominence)
-
-
 def test_find_fringe_maxima_ascending():
-    found = find_fringe_maxima(_p_curve(4.0), 0.02)
+    found = find_fringe_maxima(_p_curve(4.0))
     assert found == sorted(found)
 
 
@@ -230,14 +224,14 @@ def _bump(center):
 )
 def test_fringe_report_equals_the_public_functions(curve, reference, period_none, centroid_shift):
     report = fringe_report(curve, reference, (-1.0, 1.0))
-    assert list(report.maxima) == find_fringe_maxima(curve, 0.05)
+    assert list(report.maxima) == find_fringe_maxima(curve)
     if period_none:
         assert report.period_estimate is None
         with pytest.raises(AnalysisError):
             fringe_period(curve)
     else:
         assert report.period_estimate == fringe_period(curve)
-    assert (len(find_fringe_maxima(reference, 0.05)) < 3) == centroid_shift
+    assert (len(find_fringe_maxima(reference)) < 3) == centroid_shift
     assert report.shift_vs_reference == fringe_shift(curve, reference)
     assert report.pattern_interval == (-1.0, 1.0)
     assert fringe_report(curve, reference).pattern_interval is None

@@ -307,13 +307,19 @@ def test_simulate_rejects_edge_tol_below_fft_roundoff(tmp_path, capsys):
         ["simulate", "--d", "5", "--hbar", "1e300"],
         ["simulate", "--d", "5", "--alpha", "2e154"],
         ["simulate", "--d", "5", "--x0", "1e-300"],
+        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300"],
+        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e160"],
+        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-20", "--alpha", "6"],
         ["fringes", "--axis", "position", "--alpha", "1e300"],
     ],
-    ids=["simulate-hbar", "simulate-alpha", "simulate-x0", "fringes-position-alpha"],
+    ids=["simulate-hbar", "simulate-alpha", "simulate-x0", "simulate-numeric-x0-tiny",
+         "simulate-numeric-x0-huge", "simulate-numeric-widening", "fringes-position-alpha"],
 )
 def test_extreme_slit_pair_width_is_a_usage_error(tmp_path, capsys, argv):
-    # finite parameters whose propagated width overflows or vanishes: refused
-    # by name, not an OverflowError or ZeroDivisionError traceback
+    # finite parameters whose propagated width overflows or vanishes, or
+    # (widening) is finite but too many grid steps wide: refused by name, not
+    # an OverflowError or ZeroDivisionError traceback; the numeric engine
+    # refuses before psi is sampled, where x0**2 would under- or overflow
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "propagated width" in err and all(name in err for name in ("x0=", "alpha=", "hbar="))
@@ -381,9 +387,9 @@ def test_fringes_finds_each_curves_maxima_once(monkeypatch, capsys):
     # period and the shift; the reference's serve its comb frequency
     maxima_calls, components = [], []
 
-    def counted(curve, min_prominence):
-        maxima_calls.append(min_prominence)
-        return find_fringe_maxima(curve, min_prominence)
+    def counted(curve):
+        maxima_calls.append(curve)
+        return find_fringe_maxima(curve)
 
     def counted_component(curve):
         components.append(curve)
@@ -394,7 +400,7 @@ def test_fringes_finds_each_curves_maxima_once(monkeypatch, capsys):
     monkeypatch.setattr(wigslits.analysis, "_windowed_component", counted_component)
     assert run("fringes", "--axis", "momentum", "--delta", "4") == 0
     capsys.readouterr()
-    assert maxima_calls == [0.05, 0.05]
+    assert len(maxima_calls) == 2
     assert len(components) == 2
 
 
@@ -418,6 +424,14 @@ def test_fringes_full_turn_gives_zero_shift(capsys):
     assert abs(report["shift_vs_reference"]) <= 1e-6
 
 
+def _assert_report_layout(text):
+    # the report's fields in declaration order, 2-space indent, one trailing newline
+    report = json.loads(text)
+    assert tuple(report) == ("maxima", "period_estimate", "shift_vs_reference", "pattern_interval")
+    assert text == json.dumps(report, indent=2) + "\n"
+    return report
+
+
 def test_fringes_roundtrip_through_files(tmp_path, capsys):
     out4, out0 = tmp_path / "d4", tmp_path / "d0"
     common = ["--d", "5", "--nx", "64", "--np", "256"]
@@ -425,21 +439,30 @@ def test_fringes_roundtrip_through_files(tmp_path, capsys):
     assert run("simulate", *common, "--delta", "0", "--out", str(out0)) == 0
     assert run("fringes", "--curve", str(out4 / "pmarginal.csv"),
                "--reference", str(out0 / "pmarginal.csv")) == 0
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = _assert_report_layout(text)
+    assert text.endswith('\n  "pattern_interval": null\n}\n')  # file mode has no pattern interval
 
     grid = Grid1D(min=-4.0, max=4.0, n=256)
     curve = MarginalCurve("momentum", grid, momentum_marginal(normalized_params(delta=4.0), grid.points()))
     reference = MarginalCurve("momentum", grid, momentum_marginal(normalized_params(), grid.points()))
     assert report["shift_vs_reference"] == fringe_shift(curve, reference)
     assert report["period_estimate"] == fringe_period(curve)
-    assert report["maxima"] == find_fringe_maxima(curve, 0.05)
+    assert report["maxima"] == find_fringe_maxima(curve)
     assert report["pattern_interval"] is None
 
 
-def test_fringes_to_file(tmp_path):
+def test_fringes_to_file(tmp_path, capsys):
+    # --out writes the bytes stdout would get
+    argv = ["fringes", "--axis", "momentum", "--delta", "4"]
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out
     target = tmp_path / "report.json"
-    assert run("fringes", "--axis", "momentum", "--delta", "4", "--out", str(target)) == 0
-    assert json.loads(target.read_text())["shift_vs_reference"] == pytest.approx(0.4, abs=2e-3)
+    assert run(*argv, "--out", str(target)) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == printed
+    report = _assert_report_layout(printed)
+    assert report["shift_vs_reference"] == pytest.approx(0.4, abs=2e-3)
 
 
 def test_fringes_flat_curve_exit_code(tmp_path, capsys):

@@ -42,8 +42,13 @@ PROBE_X = Grid1D(min=-12.0, max=12.0, n=481)
 PROBE_P = Grid1D(min=-4.0, max=4.0, n=161)
 
 
+def _at(grid, value):
+    """Index of the lattice point of ``grid`` nearest ``value``."""
+    return int(np.argmin(np.abs(grid.points() - value)))
+
+
 def _field_value_at(field, x, p):
-    return field.values[field.grid.x_axis.index_of(x), field.grid.p_axis.index_of(p)]
+    return field.values[_at(field.grid.x_axis, x), _at(field.grid.p_axis, p)]
 
 
 # ---------------------------------------------------------------- sampling
@@ -51,17 +56,17 @@ def _field_value_at(field, x, p):
 
 def test_sample_wavefunction_values():
     psi = sample_wavefunction(normalized_params(), PROBE_X)
-    i5 = PROBE_X.index_of(5.0)
-    assert PROBE_X.point(i5) == pytest.approx(5.0, abs=1e-12)  # 5 is on this lattice
+    i5 = _at(PROBE_X, 5.0)
+    assert PROBE_X.points()[i5] == pytest.approx(5.0, abs=1e-12)  # 5 is on this lattice
     assert psi.values[i5] == pytest.approx(1.0 + math.exp(-50), abs=1e-12)
-    i0 = PROBE_X.index_of(0.0)
+    i0 = _at(PROBE_X, 0.0)
     assert psi.values[i0] == pytest.approx(7.453306344157342e-06, abs=1e-18)
 
 
 def test_sample_wavefunction_destructive_point():
     # at delta = pi the two phase factors are -i and +i: exact cancellation at x = 0
     psi = sample_wavefunction(normalized_params(delta=math.pi), PROBE_X)
-    assert abs(psi.values[PROBE_X.index_of(0.0)]) < 1e-15
+    assert abs(psi.values[_at(PROBE_X, 0.0)]) < 1e-15
 
 
 def test_sample_wavefunction_formula():
@@ -81,7 +86,7 @@ def test_momentum_wavefunction_frozen_values():
     psi = sample_wavefunction(normalized_params(), X_GRID)
     small_p = Grid1D(min=-1.0, max=1.0, n=21)
     phibar = momentum_wavefunction(psi, small_p, 1.0)
-    assert phibar[small_p.index_of(0.0)] == pytest.approx(5.0132565492620005, abs=1e-10)
+    assert phibar[_at(small_p, 0.0)] == pytest.approx(5.0132565492620005, abs=1e-10)
 
     zero_grid = Grid1D(min=-math.pi / 10, max=math.pi / 10, n=3)
     phibar = momentum_wavefunction(psi, zero_grid, 1.0)
@@ -89,7 +94,7 @@ def test_momentum_wavefunction_frozen_values():
 
     psi4 = sample_wavefunction(normalized_params(delta=4.0), X_GRID)
     phibar4 = momentum_wavefunction(psi4, small_p, 1.0)
-    assert phibar4[small_p.index_of(0.0)] == pytest.approx(-2.086250853774625, abs=1e-10)
+    assert phibar4[_at(small_p, 0.0)] == pytest.approx(-2.086250853774625, abs=1e-10)
 
 
 def test_momentum_wavefunction_matches_slow_quadrature():
@@ -421,8 +426,8 @@ def test_sheared_interference_term_moves_the_position_comb():
     cross_ref, beams_ref = projections(0.0)
     for beam, beam_ref in zip(beams, beams_ref):
         assert np.max(np.abs(beam - beam_ref)) <= 1e-12 * beam_ref.max()
-    lo, hi = x_grid.index_of(-12.0), x_grid.index_of(12.0)
-    window = Grid1D(min=x_grid.point(lo), max=x_grid.point(hi), n=hi - lo + 1)
+    lo, hi = _at(x_grid, -12.0), _at(x_grid, 12.0)
+    window = Grid1D(min=x_grid.points()[lo], max=x_grid.points()[hi], n=hi - lo + 1)
     curve, reference = (
         MarginalCurve("position", window, (c + sum(beams_ref))[lo : hi + 1]) for c in (cross, cross_ref)
     )
@@ -485,7 +490,7 @@ def test_propagate_frozen_center_density(delta, expected):
     # oracle: closed-form propagated marginal, itself checked by quadrature
     psi = sample_wavefunction(normalized_params(delta=delta), WIDE_GRID)
     out = propagate_free(psi, 6.0, 1.0)
-    i0 = WIDE_GRID.index_of(0.0)
+    i0 = _at(WIDE_GRID, 0.0)
     assert abs(out.values[i0]) ** 2 == pytest.approx(expected, abs=1e-10)
 
 
@@ -560,8 +565,8 @@ def test_shear_identity_and_fixed_row():
     same = shear_field(field, 0.0)
     np.testing.assert_array_equal(same.values, field.values)
     sheared = shear_field(field, 6.0)
-    j0 = PROBE_P.index_of(0.0)
-    assert abs(PROBE_P.point(j0)) < 1e-12
+    j0 = _at(PROBE_P, 0.0)
+    assert abs(PROBE_P.points()[j0]) < 1e-12
     np.testing.assert_allclose(sheared.values[:, j0], field.values[:, j0], rtol=0, atol=1e-12)
 
 
@@ -677,10 +682,9 @@ def test_field_marginals_match_direct_densities():
     )
     closed = momentum_marginal(params, PROBE_P.points())
     np.testing.assert_allclose(mom.values, closed, rtol=0, atol=1e-6 * closed.max())
-    assert mom.values[PROBE_P.index_of(0.0)] == pytest.approx(
-        momentum_marginal(params, PROBE_P.point(PROBE_P.index_of(0.0))), rel=1e-7
-    )
-    i5 = PROBE_X.index_of(5.0)
+    j0 = _at(PROBE_P, 0.0)
+    assert mom.values[j0] == pytest.approx(momentum_marginal(params, PROBE_P.points()[j0]), rel=1e-7)
+    i5 = _at(PROBE_X, 5.0)
     assert pos.values[i5] == pytest.approx(1.0, abs=1e-6)
 
 
