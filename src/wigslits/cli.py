@@ -41,7 +41,7 @@ from .analytic import (
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams
-from .numeric import DEFAULT_EDGE_DECAY_TOL, validate_edge_tol
+from .numeric import DEFAULT_EDGE_DECAY_TOL
 
 # not called here: perfbench/selftest.py checks that the benchmark's tracer
 # rebinds this name too (numeric.simulate calls the module's own binding)
@@ -144,14 +144,13 @@ def _grids(args, params: SlitPairParams) -> Tuple[Grid1D, Grid1D, Grid1D, Grid1D
 
 
 def cmd_simulate(args) -> int:
-    validate_edge_tol(args.edge_tol)  # both engines: the manifest records it
     params = _params_from_args(args)
     x_norm, p_norm, x_raw, p_raw = _grids(args, params)
     grid = Grid2D(x_raw, p_raw)
     if args.engine == "analytic":
         field, x_density, p_density = analytic.simulate(params, grid)
     else:
-        field, x_density, p_density = numeric.simulate(params, grid, args.edge_tol)
+        field, x_density, p_density = numeric.simulate(params, grid)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,7 +175,7 @@ def cmd_simulate(args) -> int:
             "pmax": p_norm.max,
             "np": p_norm.n,
         },
-        "edge_tol": args.edge_tol,
+        "edge_tol": DEFAULT_EDGE_DECAY_TOL,
         "files": files,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -280,12 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid(sim)
     sim.add_argument("--engine", choices=("analytic", "numeric"), default="analytic")
     sim.add_argument("--out", default=".", help="output directory")
-    sim.add_argument(
-        "--edge-tol",
-        type=float,
-        default=DEFAULT_EDGE_DECAY_TOL,
-        help="truncation guard: max endpoint amplitude relative to peak",
-    )
     sim.set_defaults(func=cmd_simulate)
 
     fr = sub.add_parser("fringes", help="emit a fringe report (JSON) for a curve vs a reference")

@@ -76,15 +76,16 @@ def propagated_width(params: SlitPairParams) -> float:
 
     Equals sqrt(alpha^2 hbar^2 + x0^4) / x0; reduces to x0 at alpha = 0 and
     grows monotonically with alpha. Raises ValueError where the formula
-    overflows or gives a zero or non-finite width (extreme finite params).
+    overflows or gives a width that is zero or whose square overflows (the
+    closed forms divide by that square), as extreme finite params can.
     """
     try:
         width = math.sqrt(params.alpha**2 * params.hbar**2 + params.x0**4) / params.x0
     except OverflowError:
         width = math.inf
-    if not 0 < width < math.inf:
+    if not 0 < width * width < math.inf:
         raise ValueError(
-            f"propagated width is {width!r}, not finite and > 0, for "
+            f"propagated width {width!r} must be > 0 with a finite square, for "
             f"x0={params.x0!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
         )
     return width

@@ -21,7 +21,6 @@ from .model import _require_finite, propagated_width
 
 __all__ = [
     "DEFAULT_EDGE_DECAY_TOL",
-    "validate_edge_tol",
     "sample_wavefunction",
     "momentum_wavefunction",
     "wigner_transform",
@@ -33,9 +32,11 @@ __all__ = [
 ]
 
 # Endpoint amplitude allowed relative to the wavefunction peak before a
-# transform is considered truncated. 1e-10 admits the standard plotting
-# window [-12, 12] for slits at +-5 (edge ratio ~2.3e-11) with the window
-# truncation still far below every advertised tolerance.
+# transform is considered truncated; every edge guard uses it. 1e-10 admits
+# the standard plotting window [-12, 12] for slits at +-5 (edge ratio
+# ~2.3e-11) with the window truncation still far below every advertised
+# tolerance, and sits five decades above the FFT roundoff free flight
+# leaves at the edges (under 2e-15 of peak up to 16384 points, alpha <= 12).
 DEFAULT_EDGE_DECAY_TOL = 1e-10
 
 # Allowed gap between the x-integral of a field and |phibar(p)|^2, relative to
@@ -68,23 +69,6 @@ _ROW_BANDS = 8
 _SHEAR_SNAP_ULPS = 4
 
 
-def _fft_roundoff_floor(n: int) -> float:
-    """Smallest edge_tol free propagation on n points accepts.
-
-    An FFT round trip leaves roundoff at the edges however wide the window,
-    and it grows with n: for slits at +-5 it reads 1e-17 to 6e-16 of peak on
-    1024 to 4096 points (alpha <= 6) and 1.8e-15 on 16384 points (alpha = 6),
-    so a tolerance below the floor fails on roundoff alone.
-    """
-    return 1e-15 * max(1.0, n / 4096)
-
-
-def validate_edge_tol(tol: float) -> None:
-    """Raise ValueError unless ``tol`` is a usable edge_tol: finite and in (0, 1]."""
-    if not (math.isfinite(tol) and 0.0 < tol <= 1.0):
-        raise ValueError(f"edge_tol must be finite and in (0, 1], got {tol!r}")
-
-
 def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
     weights = np.full(grid.n, grid.spacing)
     weights[0] *= 0.5
@@ -92,18 +76,17 @@ def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
     return weights
 
 
-def _check_edge_decay(values: np.ndarray, tol: float, what: str, action: str = "error") -> None:
+def _check_edge_decay(values: np.ndarray, what: str, action: str = "error") -> None:
     if action not in ("error", "warn"):
         raise ValueError(f"on_truncation must be 'error' or 'warn', got {action!r}")
-    validate_edge_tol(tol)
     peak = np.abs(values).max()
     if peak == 0.0:
         return
     edge = max(abs(values[0]), abs(values[-1])) / peak
-    if edge >= tol:
+    if edge >= DEFAULT_EDGE_DECAY_TOL:
         msg = (
             f"{what}: wavefunction endpoint amplitude is {edge:.3e} of peak "
-            f"(allowed < {tol:.1e}); widen the grid or relax edge_tol"
+            f"(allowed < {DEFAULT_EDGE_DECAY_TOL:.1e}); widen the grid"
         )
         if action == "warn":
             warnings.warn(msg, RuntimeWarning, stacklevel=3)
@@ -126,13 +109,7 @@ def sample_wavefunction(params: SlitPairParams, grid: Grid1D) -> SampledWavefunc
     return SampledWavefunction(grid=grid, values=values)
 
 
-def momentum_wavefunction(
-    psi: SampledWavefunction,
-    p_grid: Grid1D,
-    hbar: float = 1.0,
-    *,
-    edge_tol: float = DEFAULT_EDGE_DECAY_TOL,
-) -> np.ndarray:
+def momentum_wavefunction(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0) -> np.ndarray:
     """Momentum wavefunction phibar(p) = integral of psi(x) exp(+i x p/hbar) dx.
 
     Direct trapezoid quadrature on the sampling grid, evaluated at every
@@ -145,7 +122,7 @@ def momentum_wavefunction(
     block) and repeated runs are bit-identical. Returns a complex array of
     length ``p_grid.n``.
     """
-    _check_edge_decay(psi.values, edge_tol, "momentum transform")
+    _check_edge_decay(psi.values, "momentum transform")
     x = psi.grid.points()
     p = p_grid.points()
     rows = -(-x.size // _TABLE_SPLIT)
@@ -171,13 +148,7 @@ def _phase_table(offsets: np.ndarray, p: np.ndarray, hbar: float) -> np.ndarray:
     return np.exp(table, out=table)
 
 
-def wigner_transform(
-    psi: SampledWavefunction,
-    p_grid: Grid1D,
-    hbar: float = 1.0,
-    *,
-    edge_tol: float = DEFAULT_EDGE_DECAY_TOL,
-) -> WignerField:
+def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0) -> WignerField:
     """Discrete Wigner transform of a sampled wavefunction.
 
     For each grid point x the lag product g(x') = conj(psi(x - x'/2)) *
@@ -189,7 +160,7 @@ def wigner_transform(
     The lag lattice halves the usable bandwidth: every requested momentum
     must satisfy |p| <= pi hbar / (2 dx). At every p, the x-integral of W
     must match |phibar(p)|^2 from the independent momentum transform (which
-    also applies ``edge_tol``) to 1e-2 of its peak; otherwise the kernel
+    applies the same edge check) to 1e-2 of its peak; otherwise the kernel
     sign is wrong or the x grid too coarse, and ConventionViolationError is
     raised.
 
@@ -214,7 +185,7 @@ def wigner_transform(
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
-    _check_edge_decay(psi.values, edge_tol, "Wigner transform")
+    _check_edge_decay(psi.values, "Wigner transform")
     n = psi.grid.n
     dx = psi.grid.spacing
     p = p_grid.points()
@@ -227,7 +198,7 @@ def wigner_transform(
         )
 
     # the guard's reference first, while no n x n_p array is held yet
-    phibar = momentum_wavefunction(psi, p_grid, hbar, edge_tol=edge_tol)
+    phibar = momentum_wavefunction(psi, p_grid, hbar)
 
     rows = -(-((n + 1) // 2) // _TABLE_SPLIT)  # lags k >= n/2 leave the grid on every row
     n_lags = rows * _TABLE_SPLIT
@@ -279,7 +250,6 @@ def propagate_free(
     alpha: float,
     hbar: float = 1.0,
     *,
-    edge_tol: float = DEFAULT_EDGE_DECAY_TOL,
     on_truncation: str = "error",
 ) -> SampledWavefunction:
     """Free flight of a sampled wavefunction over alpha = t/m.
@@ -292,27 +262,18 @@ def propagate_free(
 
     The grid must hold the packet both before and after flight (the
     envelope widens to roughly the propagated width); either failure
-    raises TruncationError. An ``edge_tol`` below the FFT roundoff floor,
-    which no window could meet, raises ValueError. The floor is 1e-15 of
-    peak up to 4096 points and grows in proportion to n beyond.
+    raises TruncationError.
     """
     if _require_finite("alpha", alpha) < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    n = psi.grid.n
-    floor = _fft_roundoff_floor(n)
-    if edge_tol < floor:
-        raise ValueError(
-            f"edge_tol {edge_tol:.1e} is below the FFT roundoff floor {floor:.3g} "
-            f"of free propagation on {n} points; its output edge check could not pass"
-        )
-    _check_edge_decay(psi.values, edge_tol, "free propagation (input)", on_truncation)
-    p = 2 * math.pi * hbar * np.fft.fftfreq(n, d=psi.grid.spacing)
+    _check_edge_decay(psi.values, "free propagation (input)", on_truncation)
+    p = 2 * math.pi * hbar * np.fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
     evolved = np.fft.fft(np.fft.ifft(psi.values) * np.exp(1j * alpha * p**2 / (2 * hbar)))
-    _check_edge_decay(evolved, edge_tol, "free propagation (output)", on_truncation)
+    _check_edge_decay(evolved, "free propagation (output)", on_truncation)
     return SampledWavefunction(grid=psi.grid, values=evolved)
 
 
-def _propagated_density(params: SlitPairParams, x_grid: Grid1D, edge_tol: float) -> np.ndarray:
+def _propagated_density(params: SlitPairParams, x_grid: Grid1D) -> np.ndarray:
     """|psi(x)|^2 after free flight on x_grid, exact to roundoff at every alpha, zero included.
 
     The window usually cannot hold the spread packet, so it is extended by
@@ -331,7 +292,7 @@ def _propagated_density(params: SlitPairParams, x_grid: Grid1D, edge_tol: float)
     m_lo, m_hi = (max(0, math.ceil(m)) for m in steps)
     n_wide = x_grid.n + m_lo + m_hi
     wide = Grid1D(min=x_grid.min - m_lo * h, max=x_grid.min + (n_wide - 1 - m_lo) * h, n=n_wide)
-    evolved = propagate_free(sample_wavefunction(params, wide), params.alpha, params.hbar, edge_tol=edge_tol)
+    evolved = propagate_free(sample_wavefunction(params, wide), params.alpha, params.hbar)
     return np.abs(evolved.values[m_lo : m_lo + x_grid.n]) ** 2
 
 
@@ -412,20 +373,18 @@ def field_marginals(field: WignerField, hbar: float = 1.0) -> Tuple[MarginalCurv
     return field_marginal(field, "position", hbar), field_marginal(field, "momentum", hbar)
 
 
-def simulate(
-    params: SlitPairParams, grid: Grid2D, edge_tol: float = DEFAULT_EDGE_DECAY_TOL
-) -> Tuple[WignerField, np.ndarray, np.ndarray]:
+def simulate(params: SlitPairParams, grid: Grid2D) -> Tuple[WignerField, np.ndarray, np.ndarray]:
     """(field after flight, position density, momentum density) of the discrete engine on ``grid``.
 
     The field is psi's transform sheared by alpha. The position density is
     psi propagated on a widened grid, the momentum density the projection
     of the unsheared field, which free flight leaves invariant. ``grid`` is
-    in raw units; every guard applies ``edge_tol``.
+    in raw units; every edge guard applies ``DEFAULT_EDGE_DECAY_TOL``.
     """
     # first: the widened grid needs the propagated width, so an extreme slit
     # pair is refused before psi is sampled (where x0**2 would under- or overflow)
-    x_density = _propagated_density(params, grid.x_axis, edge_tol)
+    x_density = _propagated_density(params, grid.x_axis)
     psi = sample_wavefunction(params, grid.x_axis)
-    base = wigner_transform(psi, grid.p_axis, params.hbar, edge_tol=edge_tol)
+    base = wigner_transform(psi, grid.p_axis, params.hbar)
     field = shear_field(base, params.alpha)
     return field, x_density, field_marginal(base, "momentum", params.hbar).values

@@ -31,6 +31,8 @@ from wigslits.cli import _write_atomic, _write_csv, main
 from test_numeric import _traced_peak_bytes
 
 SMALL = ["--nx", "64", "--np", "64"]
+# a propagated width of 6e280: finite, but its square, which the closed forms divide by, is not
+WIDTH_SQUARE_OVERFLOWS = ["--x0", "1e-300", "--d", "1e-300", "--hbar", "1e-20", "--alpha", "6", "--nx", "33", "--np", "17"]
 
 
 def run(*args):
@@ -264,7 +266,17 @@ def test_simulate_numeric_truncation_exit_code(tmp_path, capsys):
     code = run("simulate", "--d", "5", "--engine", "numeric", "--xmin", "-7", "--xmax", "7",
                "--out", str(tmp_path), *SMALL)
     assert code == 3
-    assert "guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "guard" in err
+    # the tolerance is fixed, so the only remedy named is the grid
+    assert err.rstrip().endswith("widen the grid") and "edge_tol" not in err
+
+
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
+def test_simulate_manifest_records_the_fixed_edge_tolerance(tmp_path, engine):
+    assert run("simulate", "--d", "5", "--engine", engine, "--out", str(tmp_path), *SMALL) == 0
+    text = (tmp_path / "manifest.json").read_text()
+    assert '\n  "edge_tol": 1e-10,\n' in text and json.loads(text)["edge_tol"] == 1e-10
 
 
 def test_simulate_numeric_undersampled_grid_exit_code(tmp_path, capsys):
@@ -277,30 +289,6 @@ def test_simulate_numeric_undersampled_grid_exit_code(tmp_path, capsys):
     assert "phibar" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("engine", ["analytic", "numeric"])
-@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
-def test_simulate_rejects_edge_tol_outside_unit_interval(tmp_path, capsys, tol, engine):
-    # nan would pass every edge test (edge >= nan is false) and is not valid
-    # JSON in the manifest; -1 and 0 are usage errors, not guard failures.
-    # The analytic engine never checks edges, so it must be refused up front.
-    code = run("simulate", "--d", "5", "--engine", engine, "--edge-tol", tol,
-               "--out", str(tmp_path), *SMALL)
-    assert code == 2
-    assert "edge_tol must be finite and in (0, 1]" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
-
-
-def test_simulate_rejects_edge_tol_below_fft_roundoff(tmp_path, capsys):
-    # the window holds the packet to ~1e-136, but the FFT round trip of free
-    # flight leaves 5.1e-17 of peak at its edges
-    wide = ["simulate", "--d", "5", "--engine", "numeric",
-            "--xmin", "-30", "--xmax", "30", "--nx", "1024", "--np", "128"]
-    assert run(*wide, "--edge-tol", "1e-20", "--out", str(tmp_path / "below")) == 2
-    assert "roundoff floor 1e-15" in capsys.readouterr().err
-    assert not (tmp_path / "below" / "manifest.json").exists()
-    assert run(*wide, "--edge-tol", "1e-15", "--out", str(tmp_path / "at")) == 0
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -311,15 +299,21 @@ def test_simulate_rejects_edge_tol_below_fft_roundoff(tmp_path, capsys):
         ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e160"],
         ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-20", "--alpha", "6"],
         ["fringes", "--axis", "position", "--alpha", "1e300"],
+        ["simulate", *WIDTH_SQUARE_OVERFLOWS],
+        ["fringes", "--axis", "position", *WIDTH_SQUARE_OVERFLOWS],
+        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-150", "--alpha", "6"],
     ],
     ids=["simulate-hbar", "simulate-alpha", "simulate-x0", "simulate-numeric-x0-tiny",
-         "simulate-numeric-x0-huge", "simulate-numeric-widening", "fringes-position-alpha"],
+         "simulate-numeric-x0-huge", "simulate-numeric-widening", "fringes-position-alpha",
+         "simulate-width-square", "fringes-position-width-square", "simulate-numeric-step-count"],
 )
 def test_extreme_slit_pair_width_is_a_usage_error(tmp_path, capsys, argv):
-    # finite parameters whose propagated width overflows or vanishes, or
-    # (widening) is finite but too many grid steps wide: refused by name, not
-    # an OverflowError or ZeroDivisionError traceback; the numeric engine
-    # refuses before psi is sampled, where x0**2 would under- or overflow
+    # finite parameters whose propagated width overflows or vanishes, whose
+    # finite width has a square that overflows (6e280 for the widening and
+    # width-square cases), or (step-count) whose width of 6e150 is too many
+    # grid steps wide: refused by name, not an OverflowError or
+    # ZeroDivisionError traceback; the numeric engine refuses before psi is
+    # sampled, where x0**2 would under- or overflow
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "propagated width" in err and all(name in err for name in ("x0=", "alpha=", "hbar="))

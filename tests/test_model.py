@@ -66,6 +66,7 @@ def test_propagated_width_values():
         dict(alpha=1e154, hbar=1e10),  # their product overflows to inf without raising
         dict(x0=1e100),  # x0^4 raises OverflowError
         dict(x0=1e-300),  # x0^4 underflows and the width is 0
+        dict(x0=1e-300, hbar=1e-20, alpha=6.0),  # width 6e280 is finite, its square is not
     ],
 )
 def test_propagated_width_refuses_overflow_and_zero_width(kwargs):

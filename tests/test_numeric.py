@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -115,8 +116,31 @@ def test_momentum_wavefunction_truncation_guard():
     psi = sample_wavefunction(normalized_params(), narrow)
     with pytest.raises(TruncationError):
         momentum_wavefunction(psi, P_GRID, 1.0)
-    # explicit looser tolerance admits the narrow window
-    momentum_wavefunction(psi, P_GRID, 1.0, edge_tol=1e-1)
+
+
+@pytest.mark.parametrize(
+    "what, transform",
+    [
+        ("momentum transform", lambda psi: momentum_wavefunction(psi, P_GRID, 1.0)),
+        ("Wigner transform", lambda psi: wigner_transform(psi, P_GRID, 1.0)),
+        ("free propagation (input)", lambda psi: propagate_free(psi, 0.0, 1.0)),
+    ],
+    ids=["momentum", "wigner", "propagate-input"],
+)
+def test_edge_guard_tolerance_is_fixed_at_1e_10(what, transform):
+    # a centred Gaussian (peak exactly 1 at x = 0) whose last sample is set
+    # to the endpoint ratio: just below 1e-10 passes, 1e-10 itself is refused
+    x = PROBE_X.points()
+
+    def psi(edge):
+        values = np.exp(-(x**2) / 2) + 0j
+        values[-1] = edge
+        assert np.abs(values).max() == 1.0
+        return SampledWavefunction(grid=PROBE_X, values=values)
+
+    transform(psi(0.99e-10))
+    with pytest.raises(TruncationError, match=rf"^{re.escape(what)}: .* \(allowed < 1\.0e-10\); widen the grid$"):
+        transform(psi(1e-10))
 
 
 # ---------------------------------------------------------------- Wigner transform
@@ -337,8 +361,8 @@ def test_interference_term_is_localized_between_the_slits():
     pair = wigner_transform(sample_wavefunction(normalized_params(), X_GRID), P_GRID, 1.0)
     g1 = SampledWavefunction(grid=X_GRID, values=np.exp(-((x - 5.0) ** 2) / 2) + 0j)
     g2 = SampledWavefunction(grid=X_GRID, values=np.exp(-((x + 5.0) ** 2) / 2) + 0j)
-    w1 = wigner_transform(g1, P_GRID, 1.0, edge_tol=1e-9)
-    w2 = wigner_transform(g2, P_GRID, 1.0, edge_tol=1e-9)
+    w1 = wigner_transform(g1, P_GRID, 1.0)
+    w2 = wigner_transform(g2, P_GRID, 1.0)
     cross = pair.values - w1.values - w2.values
     peak = np.abs(pair.values).max()
     outer = np.abs(x) >= 5.0
@@ -533,19 +557,6 @@ def test_propagate_free_rejects_unknown_truncation_action():
     psi = sample_wavefunction(normalized_params(), WIDE_GRID)
     with pytest.raises(ValueError, match="on_truncation"):
         propagate_free(psi, 6.0, 1.0, on_truncation="raise")
-
-
-def test_propagate_roundoff_floor_grows_with_n():
-    # on 16384 points the FFT round trip leaves 1.8e-15 of peak at the edges
-    # (alpha = 6), above the 1e-15 floor that holds up to 4096 points
-    grid = Grid1D(min=-120.0, max=120.0, n=16384)
-    psi = sample_wavefunction(normalized_params(), grid)
-    floor = wigslits.numeric._fft_roundoff_floor(grid.n)
-    assert floor == pytest.approx(4e-15)
-    assert wigslits.numeric._fft_roundoff_floor(4096) == 1e-15
-    with pytest.raises(ValueError, match="roundoff floor 4e-15 of free propagation on 16384 points"):
-        propagate_free(psi, 6.0, 1.0, edge_tol=1e-15)
-    propagate_free(psi, 6.0, 1.0, edge_tol=floor)
 
 
 def test_momentum_density_is_flight_invariant():
