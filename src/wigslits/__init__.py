@@ -11,7 +11,6 @@ from .analysis import (
     common_projection_interval,
     common_support_interval,
     find_fringe_maxima,
-    fringe_period,
     fringe_report,
     fringe_shift,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "field_marginal",
     "field_marginals",
     "find_fringe_maxima",
-    "fringe_period",
     "fringe_shift",
     "fringe_report",
     "common_support_interval",

@@ -29,7 +29,6 @@ from .numeric import field_marginal
 
 __all__ = [
     "find_fringe_maxima",
-    "fringe_period",
     "fringe_shift",
     "fringe_report",
     "common_support_interval",
@@ -39,6 +38,10 @@ __all__ = [
 # Prominence floor of a fringe maximum, as a fraction of the curve max; keeps
 # washed-out outer fringes from skewing the initial period estimate.
 _MIN_PROMINENCE = 0.05
+
+# Support level of the pattern interval, as a fraction of each curve's max: a
+# single-slit projection exp(-(u/w)^2) counts within three widths w of its center.
+_PATTERN_LEVEL = math.exp(-9)
 
 
 def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
@@ -217,12 +220,6 @@ def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
         raise ValueError(f"curves lie on different axes: {curve1.axis_label!r}, {curve2.axis_label!r}")
 
 
-def fringe_period(curve: MarginalCurve) -> float:
-    """Spacing of consecutive fringe maxima (2 pi over the comb frequency)."""
-    maxima = find_fringe_maxima(curve)
-    return 2 * np.pi / _comb_frequency(_windowed_component(curve), maxima)
-
-
 def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     """Signed displacement of the fringe comb of ``curve`` relative to ``reference``.
 
@@ -269,9 +266,9 @@ def fringe_report(
 ) -> FringeReport:
     """Report of ``curve`` against ``reference``, with each curve's maxima and component found once.
 
-    The maxima seed the period search; the period (None below 3 maxima) and
-    the shift equal :func:`fringe_period` and :func:`fringe_shift` bit for
-    bit; ``pattern_interval`` is passed through.
+    The maxima seed the period (the fringe spacing 2 pi / comb frequency, None
+    below 3 maxima); the shift equals :func:`fringe_shift` bit for bit, and
+    ``pattern_interval`` is passed through.
     """
     _require_comparable(curve, reference)
     maxima, component = find_fringe_maxima(curve), _windowed_component(curve)
@@ -282,21 +279,15 @@ def fringe_report(
     return FringeReport(tuple(maxima), period, _shift(maxima, component, reference), pattern_interval)
 
 
-def common_support_interval(
-    curve1: MarginalCurve,
-    curve2: MarginalCurve,
-    threshold: float,
-) -> Optional[Tuple[float, float]]:
-    """Interval where both curves are at or above threshold * (own max).
+def common_support_interval(curve1: MarginalCurve, curve2: MarginalCurve) -> Optional[Tuple[float, float]]:
+    """Interval where both curves are at or above ``_PATTERN_LEVEL`` (e^-9) * (own max).
 
-    Keeps the grid points where each curve reaches ``threshold`` of its own
+    Keeps the grid points where each curve reaches that fraction of its own
     maximum and intersects the two supports. Returns None when the supports
     do not overlap or a curve is zero everywhere. For the single-slit
     projections of a slit pair, this is the interval where interference
     between the two beams can show up along that axis.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     _require_comparable(curve1, curve2)
 
     coords = curve1.grid.points()
@@ -305,8 +296,8 @@ def common_support_interval(
         peak = curve.values.max()
         if peak <= 0:
             return None
-        # never empty: the peak itself is at or above threshold * peak
-        above = coords[curve.values >= threshold * peak]
+        # never empty: the peak itself is at or above the level
+        above = coords[curve.values >= _PATTERN_LEVEL * peak]
         lo = max(lo, above[0])
         hi = min(hi, above[-1])
     if lo > hi:
@@ -314,19 +305,11 @@ def common_support_interval(
     return float(lo), float(hi)
 
 
-def common_projection_interval(
-    field1: WignerField,
-    field2: WignerField,
-    axis: str,
-    threshold: float,
-) -> Optional[Tuple[float, float]]:
+def common_projection_interval(field1: WignerField, field2: WignerField, axis: str) -> Optional[Tuple[float, float]]:
     """:func:`common_support_interval` of the projections of two fields onto ``axis``.
 
-    ``axis`` is 'position' or 'momentum'; the fields are projected by
-    :func:`wigslits.numeric.field_marginal`, whose normalization the
-    relative threshold makes irrelevant.
+    ``axis`` is 'position' or 'momentum'; only the fields' grids on ``axis``
+    must match. They are projected by :func:`wigslits.numeric.field_marginal`,
+    whose normalization the relative level makes irrelevant.
     """
-    if field1.grid != field2.grid:
-        raise ValueError("fields must share the same grid")
-    curve1, curve2 = (field_marginal(f, axis) for f in (field1, field2))
-    return common_support_interval(curve1, curve2, threshold)
+    return common_support_interval(field_marginal(field1, axis), field_marginal(field2, axis))

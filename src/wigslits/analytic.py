@@ -157,6 +157,18 @@ def wigner_single_slit(params: SlitPairParams, x, p, slit: int = 1):
     return 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2) * np.exp(-((x - c) / x0) ** 2)
 
 
+def _momentum_prefactor(scale: int, params: SlitPairParams) -> float:
+    """scale * pi * x0^2, the prefactor of a momentum closed form; ValueError where it overflows or vanishes."""
+    try:
+        prefactor = scale * math.pi * params.x0**2
+    except OverflowError:
+        prefactor = math.inf
+    if not 0 < prefactor < math.inf:
+        raise ValueError(f"momentum prefactor {scale}*pi*x0**2 = {prefactor!r} must be finite and > 0, "
+                         f"for x0={params.x0!r}")
+    return prefactor
+
+
 def momentum_marginal(params: SlitPairParams, p):
     """Momentum density |phibar(p)|^2 = 8 pi x0^2 exp(-p^2 x0^2/hbar^2) cos^2(p d/hbar - delta/2).
 
@@ -166,7 +178,7 @@ def momentum_marginal(params: SlitPairParams, p):
     p = np.asarray(p, dtype=float)
     x0, d, hbar, delta = params.x0, params.d, params.hbar, params.delta
     return (
-        8 * math.pi * x0**2
+        _momentum_prefactor(8, params)
         * np.exp(-(p * x0 / hbar) ** 2)
         * np.cos(p * d / hbar - delta / 2) ** 2
     )
@@ -205,7 +217,7 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
     coords = np.asarray(coords, dtype=float)
     x0 = params.x0
     if axis == "momentum":
-        return 2 * math.pi * x0**2 * np.exp(-(coords * x0 / params.hbar) ** 2)
+        return _momentum_prefactor(2, params) * np.exp(-(coords * x0 / params.hbar) ** 2)
     if axis == "position":
         big = propagated_width(params)
         return (x0 / big) * np.exp(-((coords - slit * params.d) / big) ** 2)

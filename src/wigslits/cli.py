@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -50,10 +49,6 @@ from .numeric import wigner_transform  # noqa: F401
 _EXIT_USAGE = 2
 _EXIT_GUARD = 3
 _EXIT_ANALYSIS = 4
-
-# Relative support threshold of the parameter-mode pattern interval: each
-# single-slit projection exp(-(u/w)^2) counts within three widths w of its center.
-_PATTERN_THRESHOLD = math.exp(-9)
 
 
 # ---------------------------------------------------------------- helpers
@@ -202,7 +197,7 @@ def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Opt
 
     # the pattern lies where both single-slit projections carry weight
     slit1, slit2 = (curve(single_slit_marginal(params, args.axis, raw_pts, s)) for s in (1, -1))
-    interval = common_support_interval(slit1, slit2, _PATTERN_THRESHOLD)
+    interval = common_support_interval(slit1, slit2)
     return curve(marginal(params, raw_pts)), curve(marginal(reference_params, raw_pts)), interval
 
 

@@ -172,14 +172,13 @@ def test_criterion_07_shear_flight_commutation(flight_fields):
 
 
 def test_criterion_08_pattern_vs_fringes():
-    threshold = math.exp(-9)
     at_rest = [single_slit_field(normalized_params(), GRID, s) for s in (1, -1)]
     in_flight = [single_slit_field(normalized_params(alpha=6.0), GRID, s) for s in (1, -1)]
-    x_rest = common_projection_interval(*at_rest, "position", threshold)
-    x_flight = common_projection_interval(*in_flight, "position", threshold)
-    p_zero = common_projection_interval(*at_rest, "momentum", threshold)
+    x_rest = common_projection_interval(*at_rest, "position")
+    x_flight = common_projection_interval(*in_flight, "position")
+    p_zero = common_projection_interval(*at_rest, "momentum")
     shifted = [single_slit_field(normalized_params(delta=4.0), GRID, s) for s in (1, -1)]
-    p_four = common_projection_interval(*shifted, "momentum", threshold)
+    p_four = common_projection_interval(*shifted, "momentum")
     ok = x_rest is None and x_flight is not None and p_zero == p_four and p_zero is not None
     _report(8, "pattern vs fringes separation", ok,
             f"x-interval at rest {x_rest}, in flight {x_flight}; p-interval phase-independent {p_zero == p_four}")

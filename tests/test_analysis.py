@@ -14,8 +14,8 @@ from wigslits import (
     MarginalCurve,
     common_projection_interval,
     common_support_interval,
+    field_marginal,
     find_fringe_maxima,
-    fringe_period,
     fringe_report,
     fringe_shift,
     momentum_marginal,
@@ -124,15 +124,19 @@ def test_bounded_minimum_matches_scipy_bit_for_bit(centre, curvature, ripple, lo
 # ---------------------------------------------------------------- period
 
 
+def _period(curve):
+    return fringe_report(curve, curve).period_estimate
+
+
 def test_fringe_period_momentum():
     # comb frequency 2 d / hbar, period pi hbar / d
-    assert fringe_period(_p_curve(0.0)) == pytest.approx(math.pi / 5, abs=1e-3)
-    assert fringe_period(_p_curve(4.0)) == pytest.approx(math.pi / 5, abs=1e-3)
+    assert _period(_p_curve(0.0)) == pytest.approx(math.pi / 5, abs=1e-3)
+    assert _period(_p_curve(4.0)) == pytest.approx(math.pi / 5, abs=1e-3)
 
 
 def test_fringe_period_position_after_flight():
     # comb frequency 2 alpha d hbar / (x0^2 Delta^2) = 60/37
-    assert fringe_period(_x_curve(0.0)) == pytest.approx(37 * math.pi / 30, abs=2e-2)
+    assert _period(_x_curve(0.0)) == pytest.approx(37 * math.pi / 30, abs=2e-2)
 
 
 def test_fringe_period_needs_three_maxima():
@@ -140,8 +144,7 @@ def test_fringe_period_needs_three_maxima():
     x = grid.points()
     two_bumps = np.exp(-((x - 2.0) ** 2)) + np.exp(-((x + 2.0) ** 2))
     curve = MarginalCurve(axis_label="position", grid=grid, values=two_bumps)
-    with pytest.raises(AnalysisError):
-        fringe_period(curve)
+    assert _period(curve) is None
 
 
 # ---------------------------------------------------------------- shift
@@ -225,12 +228,9 @@ def _bump(center):
 def test_fringe_report_equals_the_public_functions(curve, reference, period_none, centroid_shift):
     report = fringe_report(curve, reference, (-1.0, 1.0))
     assert list(report.maxima) == find_fringe_maxima(curve)
-    if period_none:
-        assert report.period_estimate is None
-        with pytest.raises(AnalysisError):
-            fringe_period(curve)
-    else:
-        assert report.period_estimate == fringe_period(curve)
+    # the period is the curve's own: the reference does not enter it
+    assert (report.period_estimate is None) == period_none
+    assert report.period_estimate == _period(curve)
     assert (len(find_fringe_maxima(reference)) < 3) == centroid_shift
     assert report.shift_vs_reference == fringe_shift(curve, reference)
     assert report.pattern_interval == (-1.0, 1.0)
@@ -257,13 +257,13 @@ def _slit_curves(params, axis, grid):
 def test_pattern_interval_position_empty_before_flight():
     # slit supports e^{-(x -+ 5)^2} >= e^-9 are [2, 8] and [-8, -2]: disjoint
     f1, f2 = _slit_fields(alpha=0.0)
-    assert common_projection_interval(f1, f2, "position", E_MINUS_9) is None
+    assert common_projection_interval(f1, f2, "position") is None
 
 
 def test_pattern_interval_momentum_is_shared():
     # both slits project to e^{-p^2} >= e^-9 on |p| <= 3
     f1, f2 = _slit_fields(alpha=0.0)
-    lo, hi = common_projection_interval(f1, f2, "momentum", E_MINUS_9)
+    lo, hi = common_projection_interval(f1, f2, "momentum")
     step = P_AXIS.spacing
     assert lo == pytest.approx(-3.0, abs=step)
     assert hi == pytest.approx(3.0, abs=step)
@@ -271,7 +271,7 @@ def test_pattern_interval_momentum_is_shared():
 
 def test_pattern_interval_opens_along_x_after_flight():
     f1, f2 = _slit_fields(alpha=6.0)
-    interval = common_projection_interval(f1, f2, "position", E_MINUS_9)
+    interval = common_projection_interval(f1, f2, "position")
     assert interval is not None
     lo, hi = interval
     assert lo < 0 < hi
@@ -279,49 +279,68 @@ def test_pattern_interval_opens_along_x_after_flight():
 
 def test_pattern_interval_self_is_own_support():
     f1, _ = _slit_fields(alpha=0.0)
-    lo, hi = common_projection_interval(f1, f1, "position", E_MINUS_9)
+    lo, hi = common_projection_interval(f1, f1, "position")
     assert lo == pytest.approx(2.0, abs=X_AXIS.spacing)
     assert hi == pytest.approx(8.0, abs=X_AXIS.spacing)
 
 
 def test_pattern_interval_is_phase_independent():
     # slit fields carry no interference term, so the phase cannot matter
-    a = common_projection_interval(*_slit_fields(alpha=0.0, delta=0.0), "momentum", E_MINUS_9)
-    b = common_projection_interval(*_slit_fields(alpha=0.0, delta=4.0), "momentum", E_MINUS_9)
+    a = common_projection_interval(*_slit_fields(alpha=0.0, delta=0.0), "momentum")
+    b = common_projection_interval(*_slit_fields(alpha=0.0, delta=4.0), "momentum")
     assert a == b
 
 
 def test_support_interval_of_a_zero_curve_is_none():
     c1, _ = _slit_curves(normalized_params(), "momentum", P_AXIS)
     zero = MarginalCurve("momentum", P_AXIS, np.zeros(P_AXIS.n))
-    assert common_support_interval(c1, zero, 0.5) is None
-    assert common_support_interval(zero, c1, 0.5) is None
+    assert common_support_interval(c1, zero) is None
+    assert common_support_interval(zero, c1) is None
+
+
+def test_pattern_level_is_e_minus_9_at_its_boundary():
+    # a point at exactly e^-9 of the peak is in the support; a few ulps below, out
+    grid = Grid1D(min=0.0, max=4.0, n=5)
+    below = np.nextafter(np.nextafter(np.nextafter(E_MINUS_9, 0.0), 0.0), 0.0)
+    for peak in (1.0, 0.25, 8.0):  # powers of two: level * peak is exact
+        values = peak * np.array([below, E_MINUS_9, 1.0, E_MINUS_9, below])
+        curve = MarginalCurve("momentum", grid, values)
+        assert common_support_interval(curve, curve) == (1.0, 3.0)
+
+
+def test_pattern_interval_projects_fields_on_their_own_windows():
+    # the slit fields sit on different x windows; onto momentum they project
+    # to one p grid, and the interval is the curve rule on the two projections
+    grids = [Grid2D(X_AXIS, P_AXIS), Grid2D(Grid1D(min=-10.0, max=14.0, n=400), P_AXIS)]
+    f1, f2 = (single_slit_field(normalized_params(), g, s) for g, s in zip(grids, (1, -1)))
+    interval = common_projection_interval(f1, f2, "momentum")
+    assert interval == common_support_interval(field_marginal(f1, "momentum"), field_marginal(f2, "momentum"))
+    assert interval == pytest.approx((-3.0, 3.0), abs=P_AXIS.spacing)
+    # the projected axes must still match
+    with pytest.raises(ValueError, match="same grid"):
+        common_projection_interval(f1, f2, "position")
+    other_p = single_slit_field(normalized_params(), Grid2D(X_AXIS, Grid1D(min=-3.0, max=3.0, n=512)), -1)
+    with pytest.raises(ValueError, match="same grid"):
+        common_projection_interval(f1, other_p, "momentum")
 
 
 def test_pattern_interval_validation():
     f1, f2 = _slit_fields()
     with pytest.raises(ValueError):
-        common_projection_interval(f1, f2, "diagonal", 0.5)
-    with pytest.raises(ValueError):
-        common_projection_interval(f1, f2, "position", 0.0)
-    with pytest.raises(ValueError):
-        common_projection_interval(f1, f2, "position", 1.0)
+        common_projection_interval(f1, f2, "diagonal")
     other = Grid2D(Grid1D(min=-1.0, max=1.0, n=512), P_AXIS)
     mismatched = single_slit_field(normalized_params(), other, 1)
     with pytest.raises(ValueError):
-        common_projection_interval(f1, mismatched, "position", 0.5)
+        common_projection_interval(f1, mismatched, "position")
 
     params = normalized_params()
     c1, c2 = _slit_curves(params, "momentum", P_AXIS)
-    for threshold in (0.0, 1.0, math.nan):
-        with pytest.raises(ValueError):
-            common_support_interval(c1, c2, threshold)
     other_grid = Grid1D(min=-4.0, max=4.0, n=257)
     with pytest.raises(ValueError):
-        common_support_interval(c1, _slit_curves(params, "momentum", other_grid)[1], 0.5)
+        common_support_interval(c1, _slit_curves(params, "momentum", other_grid)[1])
     same_grid_other_axis = MarginalCurve("position", P_AXIS, c2.values)
     with pytest.raises(ValueError):
-        common_support_interval(c1, same_grid_other_axis, 0.5)
+        common_support_interval(c1, same_grid_other_axis)
     with pytest.raises(ValueError):
         single_slit_marginal(params, "momentum", P_AXIS.points(), slit=0)
     with pytest.raises(ValueError):
@@ -337,4 +356,4 @@ def test_pattern_interval_curve_route_equals_field_route(alpha, axis):
     params = normalized_params(alpha=alpha)
     fields = [single_slit_field(params, Grid2D(wide, P_AXIS), s) for s in (1, -1)]
     curves = _slit_curves(params, axis, wide if axis == "position" else P_AXIS)
-    assert common_support_interval(*curves, E_MINUS_9) == common_projection_interval(*fields, axis, E_MINUS_9)
+    assert common_support_interval(*curves) == common_projection_interval(*fields, axis)

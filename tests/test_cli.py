@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from wigslits import (
     MarginalCurve,
     SlitPairParams,
     find_fringe_maxima,
-    fringe_period,
+    fringe_report,
     fringe_shift,
     momentum_marginal,
     normalized_params,
@@ -71,6 +72,20 @@ def test_commands_do_not_import_scipy():
 def test_fringes_does_not_import_numpy_ma():
     # np.median imports numpy.ma (~15 ms) in every fresh process that finds a fringe period
     assert _fresh_process_modules([["fringes", "--axis", "momentum"]], "numpy.ma") == "[]"
+
+
+def test_package_exports_every_public_name_once():
+    # the package re-exports each module's __all__, less the two engine
+    # simulates (one name, two meanings) and the numeric engine's constant
+    from wigslits import analysis, analytic, model, numeric
+
+    errors = {"AnalysisError", "ConventionViolationError", "TruncationError"}
+    expected = set().union(*(m.__all__ for m in (analysis, analytic, model, numeric))) | {"__version__", *errors}
+    expected -= {"simulate", "DEFAULT_EDGE_DECAY_TOL"}
+    assert len(wigslits.__all__) == len(set(wigslits.__all__))
+    assert set(wigslits.__all__) == expected
+    assert all(hasattr(wigslits, name) for name in wigslits.__all__)
+    assert not hasattr(wigslits, "simulate")
 
 
 def test_usage_error_exit_code():
@@ -324,6 +339,27 @@ def test_fringes_momentum_axis_needs_no_propagated_width(capsys):
     assert run("fringes", "--axis", "momentum", "--hbar", "1e300") == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--x0", "1e160"],
+        ["--x0", "1e160", "--d", "1e-300", "--hbar", "1e-20"],
+        ["--x0", "1e-300"],
+        ["--x0", "3e153"],
+    ],
+    ids=["x0-huge", "x0-huge-hbar-tiny", "x0-tiny", "pair-prefactor"],
+)
+def test_fringes_momentum_prefactor_out_of_range_is_a_usage_error(capsys, argv):
+    # x0^2 overflows or underflows to 0, or (pair-prefactor) the single slit's
+    # 2 pi x0^2 is finite but the pair's 8 pi x0^2 is not: refused by name, not
+    # an OverflowError traceback, a non-finite marginal or an analysis failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("fringes", "--axis", "momentum", *argv) == 2
+    err = capsys.readouterr().err
+    assert "momentum prefactor" in err and "x0=" in err
+
+
 # ---------------------------------------------------------------- fringes
 
 
@@ -441,7 +477,7 @@ def test_fringes_roundtrip_through_files(tmp_path, capsys):
     curve = MarginalCurve("momentum", grid, momentum_marginal(normalized_params(delta=4.0), grid.points()))
     reference = MarginalCurve("momentum", grid, momentum_marginal(normalized_params(), grid.points()))
     assert report["shift_vs_reference"] == fringe_shift(curve, reference)
-    assert report["period_estimate"] == fringe_period(curve)
+    assert report["period_estimate"] == fringe_report(curve, reference).period_estimate
     assert report["maxima"] == find_fringe_maxima(curve)
     assert report["pattern_interval"] is None
 

@@ -485,8 +485,8 @@ def test_pattern_interval_from_the_discrete_beams(alpha, axis, n):
     discrete = [MarginalCurve(axis, grid, v) for v in densities]
     closed = [MarginalCurve(axis, grid, single_slit_marginal(params, axis, grid.points(), s)) for s in (1, -1)]
 
-    interval = common_support_interval(*discrete, math.exp(-9))
-    assert interval == common_support_interval(*closed, math.exp(-9))
+    interval = common_support_interval(*discrete)
+    assert interval == common_support_interval(*closed)
     # e^{-(u/w)^2} >= e^-9 for |u| <= 3w: |p| <= 3 hbar/x0, and |x -+ d| <= 3 X
     reach = 3.0 if axis == "momentum" else 3 * propagated_width(params) - params.d
     if reach < 0:
