@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__, analytic, numeric
+from . import __version__, _floattext, analytic, numeric
 from .analysis import common_support_interval, fringe_report
 from .analytic import (
     FluxSpec,
@@ -54,8 +55,8 @@ _EXIT_ANALYSIS = 4
 # ---------------------------------------------------------------- helpers
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
-    """Stream chunks to a temp file, rename it over ``path``; return the sha256 of the bytes.
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> str:
+    """Stream bytes-like chunks to a temp file, rename it over ``path``; return their sha256.
 
     The temp file is created with mode 0666 under a random name beside
     ``path``, so the result gets the permissions the umask gives a plain
@@ -67,9 +68,9 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
-                data = chunk.encode("utf-8")
-                digest.update(data)
-                fh.write(data)
+                digest.update(chunk)
+                fh.write(chunk)
+                del chunk  # so the next chunk is built without this one held
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,20 +81,12 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
 
 def _write_csv(path: Path, header: str, values: np.ndarray, *axes: np.ndarray) -> dict:
     # one row per sample of values over the product of axes (a curve's axis, or
-    # x then p): coordinates first, the first axis slowest, each axis point
-    # formatted once. Shortest round-trip decimals keep files byte-reproducible
-    # and let a reader recover the exact floats. Returns the manifest entry.
-    *outer, inner = axes
-    prefixes = [repr(c) + "," for c in outer[0].tolist()] if outer else [""]
-    cells = [repr(c) + "," for c in inner.tolist()]
-    rows = values.reshape(len(prefixes), len(cells))  # raises unless the axes span values
-
-    def chunks():  # one grid row of text per x bounds the text held; a curve is one chunk
-        yield header + "\n"
-        for prefix, row in zip(prefixes, rows):
-            yield "".join(f"{prefix}{cell}{v!r}\n" for cell, v in zip(cells, row.tolist()))
-
-    return {"path": path.name, "sha256": _write_atomic(path, chunks()), "rows": values.size}
+    # x then p): coordinates first, the first axis slowest. Shortest round-trip
+    # decimals keep files byte-reproducible and let a reader recover the exact
+    # floats. Returns the manifest entry.
+    values = values.reshape(tuple(axis.size for axis in axes))  # raises unless the axes span values
+    chunks = itertools.chain([f"{header}\n".encode()], _floattext.csv_rows(values, axes))
+    return {"path": path.name, "sha256": _write_atomic(path, chunks), "rows": values.size}
 
 
 def _read_two_column_csv(path: str, expected_header: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,7 +167,7 @@ def cmd_simulate(args) -> int:
         "files": files,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write_atomic(out / "manifest.json", [text])
+    _write_atomic(out / "manifest.json", [text.encode()])
     return 0
 
 
@@ -215,7 +208,7 @@ def cmd_fringes(args) -> int:
 
     text = json.dumps(dataclasses.asdict(fringe_report(curve, reference, interval)), indent=2) + "\n"
     if args.out:
-        _write_atomic(Path(args.out), [text])
+        _write_atomic(Path(args.out), [text.encode()])
     else:
         sys.stdout.write(text)
     return 0

@@ -138,7 +138,7 @@ def test_simulate_determinism(tmp_path, engine):
 
 
 def test_simulate_csv_bytes_match_row_by_row_reference(tmp_path):
-    # 97 * 101 rows span one formatting chunk per x; the reference is the
+    # 97 * 101 rows span several blocks of whole grid rows; the reference is the
     # plain per-row loop over the closed form
     assert run("simulate", "--d", "5", "--alpha", "6", "--delta", "4", "--nx", "97", "--np", "101",
                "--out", str(tmp_path)) == 0
@@ -165,9 +165,32 @@ def test_simulate_marginal_csv_bytes_match_row_by_row_reference(tmp_path):
         assert (tmp_path / name).read_bytes() == expected.encode()
 
 
+AWKWARD = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308, 9.999999999999999e-05,
+           1e-4, -1e-5, 1e15, 1e16, 1e17, 2.0**53, 2.0**-1074 * 3, 2.0**-30, -(2.0**60), 0.5,
+           1.7976931348623157e308]
+
+
+def test_write_csv_bytes_on_awkward_values(tmp_path):
+    # signed zeros, subnormals (repr's path), the fixed/exponent layout edges
+    # and powers of two, as a field over two axes and as a curve
+    xs = np.array(AWKWARD[:7])
+    ps = np.array(AWKWARD[7:])
+    field = np.array(AWKWARD[::-1] * 7)[: xs.size * ps.size].reshape(xs.size, ps.size)
+    _write_csv(tmp_path / "field.csv", "x,p,w", field, xs, ps)
+    expected = "x,p,w\n" + "".join(
+        f"{x!r},{p!r},{w!r}\n" for x, row in zip(xs.tolist(), field.tolist()) for p, w in zip(ps.tolist(), row)
+    )
+    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
+
+    curve = np.array(AWKWARD)
+    _write_csv(tmp_path / "curve.csv", "coord,value", curve[::-1], curve)
+    expected = "coord,value\n" + "".join(f"{c!r},{v!r}\n" for c, v in zip(curve.tolist(), curve[::-1].tolist()))
+    assert (tmp_path / "curve.csv").read_bytes() == expected.encode()
+
+
 def test_write_csv_holds_no_coordinate_columns(tmp_path):
-    # half of one 512 x 512 float array: the writer formats one grid row at a
-    # time and never expands the axes into n_x * n_p coordinate columns
+    # half of one 512 x 512 float array: the writer formats a fixed block of
+    # cells at a time and never expands the axes into n_x * n_p coordinate columns
     n = 512
     xs = Grid1D(min=-12.0, max=12.0, n=n).points()
     ps = Grid1D(min=-4.0, max=4.0, n=n).points()
@@ -187,7 +210,7 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
     target.write_bytes(b"old\n")
 
     def chunks():
-        yield "new\n"
+        yield b"new\n"
         raise RuntimeError("disk full")
 
     with pytest.raises(RuntimeError, match="disk full"):
@@ -211,7 +234,7 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
 
 def test_simulate_analytic_holds_about_one_field(tmp_path):
     # the closed form fills one 512 x 512 array in row blocks, WignerField
-    # adopts it, and the writer holds one grid row of text
+    # adopts it, and the writer holds one block of cells and their text
     argv = ["simulate", "--d", "5", "--delta", "4", "--alpha", "6", "--out", str(tmp_path)]
     assert run(*argv) == 0  # first call outside the trace: lazy imports and caches
     codes = []
