@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _require_finite, propagated_width
+from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _position_width, _require_finite
 
 __all__ = [
     "FluxSpec",
@@ -193,7 +193,7 @@ def position_marginal_propagated(params: SlitPairParams, x):
     """
     x = np.asarray(x, dtype=float)
     x0, d, hbar, delta, alpha = params.x0, params.d, params.hbar, params.delta, params.alpha
-    big = propagated_width(params)
+    big = _position_width(params)
     slits = np.exp(-((x - d) / big) ** 2) + np.exp(-((x + d) / big) ** 2)
     cross = 2 * np.exp(-(x**2 + d**2) / big**2) * np.cos(
         2 * x * alpha * d * hbar / (x0**2 * big**2) - delta
@@ -219,7 +219,7 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
     if axis == "momentum":
         return _momentum_prefactor(2, params) * np.exp(-(coords * x0 / params.hbar) ** 2)
     if axis == "position":
-        big = propagated_width(params)
+        big = _position_width(params)
         return (x0 / big) * np.exp(-((coords - slit * params.d) / big) ** 2)
     raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
 

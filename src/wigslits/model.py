@@ -91,6 +91,21 @@ def propagated_width(params: SlitPairParams) -> float:
     return width
 
 
+def _position_width(params: SlitPairParams) -> float:
+    """:func:`propagated_width` for the position closed forms, which also square d and d / width.
+
+    Raises ValueError, naming d, where either square overflows.
+    """
+    width = propagated_width(params)
+    ratio = params.d / width
+    if not (math.isfinite(params.d * params.d) and math.isfinite(ratio * ratio)):
+        raise ValueError(
+            f"slit offset d={params.d!r} is out of range: d**2 or (d / width)**2 overflows, for "
+            f"propagated width {width!r} (x0={params.x0!r}, alpha={params.alpha!r}, hbar={params.hbar!r})"
+        )
+    return width
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform sampling lattice, inclusive of both endpoints."""

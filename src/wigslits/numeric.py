@@ -54,6 +54,12 @@ _NEG_TOL = 1e-7
 # O(n * _P_BLOCK) whatever n_p is, and a fixed block keeps reruns bit-identical.
 _P_BLOCK = 256
 
+# Memory that free flight of the position density may take on its widened
+# grid, counted as 80 bytes a point: the traced peak is 72-75, the sampler's
+# and the FFT's complex temporaries. 1 GiB admits ~13 million points, against
+# the 2,288 that the default grid widens to at alpha = 6.
+_WIDE_GRID_BUDGET = 2**30
+
 # Row split of the transforms' phase tables: index j = J * _TABLE_SPLIT + r,
 # and exp(i j phi) = exp(i J * _TABLE_SPLIT * phi) * exp(i r phi), so a block
 # evaluates (n / _TABLE_SPLIT + _TABLE_SPLIT) phases per column instead of n.
@@ -279,6 +285,8 @@ def _propagated_density(params: SlitPairParams, x_grid: Grid1D) -> np.ndarray:
     The window usually cannot hold the spread packet, so it is extended by
     whole steps (the requested points stay on the lattice) to d + 8 max(X,
     x0), X the propagated width, on both sides, propagated and cropped back.
+    A widened grid over ``_WIDE_GRID_BUDGET`` bytes, at 80 a point, is
+    refused with a ValueError before anything is sampled.
     """
     h = x_grid.spacing
     width = propagated_width(params)
@@ -291,6 +299,13 @@ def _propagated_density(params: SlitPairParams, x_grid: Grid1D) -> np.ndarray:
         )
     m_lo, m_hi = (max(0, math.ceil(m)) for m in steps)
     n_wide = x_grid.n + m_lo + m_hi
+    need = 80 * n_wide
+    if need > _WIDE_GRID_BUDGET:
+        raise ValueError(
+            f"free flight of the position density needs {n_wide:.4g} points on a grid widened to reach "
+            f"{reach!r} on each side, ~{need:.3g} bytes against a budget of {_WIDE_GRID_BUDGET}, "
+            f"for d={params.d!r}, x0={params.x0!r}, alpha={params.alpha!r}"
+        )
     wide = Grid1D(min=x_grid.min - m_lo * h, max=x_grid.min + (n_wide - 1 - m_lo) * h, n=n_wide)
     evolved = propagate_free(sample_wavefunction(params, wide), params.alpha, params.hbar)
     return np.abs(evolved.values[m_lo : m_lo + x_grid.n]) ** 2

@@ -28,6 +28,7 @@ from wigslits import (
 )
 import wigslits.analysis
 import wigslits.cli
+from wigslits import _floattext
 from wigslits.cli import _write_atomic, _write_csv, main
 from test_numeric import _traced_peak_bytes
 
@@ -186,6 +187,24 @@ def test_write_csv_bytes_on_awkward_values(tmp_path):
     _write_csv(tmp_path / "curve.csv", "coord,value", curve[::-1], curve)
     expected = "coord,value\n" + "".join(f"{c!r},{v!r}\n" for c, v in zip(curve.tolist(), curve[::-1].tolist()))
     assert (tmp_path / "curve.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_bytes_on_rows_longer_than_a_block(tmp_path):
+    # an inner axis longer than a block: each grid row is cut into equal parts
+    # of at most BLOCK cells, and the rows still come out whole and in order
+    n_p = 2 * _floattext.BLOCK + 5
+    rng = np.random.default_rng(11)
+    xs = np.array(AWKWARD[-3:])
+    ps = rng.integers(0, 2**64, n_p, dtype=np.uint64).view(np.float64)
+    ps[: len(AWKWARD)] = AWKWARD
+    field = rng.integers(0, 2**64, (3, n_p), dtype=np.uint64).view(np.float64)
+    field[0, : len(AWKWARD)] = AWKWARD
+    field[2, -len(AWKWARD):] = AWKWARD
+    _write_csv(tmp_path / "field.csv", "x,p,w", field, xs, ps)
+    expected = "x,p,w\n" + "".join(
+        f"{x!r},{p!r},{w!r}\n" for x, row in zip(xs.tolist(), field.tolist()) for p, w in zip(ps.tolist(), row)
+    )
+    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
 
 
 def test_write_csv_holds_no_coordinate_columns(tmp_path):
@@ -381,6 +400,43 @@ def test_fringes_momentum_prefactor_out_of_range_is_a_usage_error(capsys, argv):
         assert run("fringes", "--axis", "momentum", *argv) == 2
     err = capsys.readouterr().err
     assert "momentum prefactor" in err and "x0=" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--d", "2e154"],
+        ["simulate", "--x0", "1e-160", "--d", "1e300", "--hbar", "1e-20", "--alpha", "1e-20"],
+        ["simulate", "--x0", "1e-50", "--d", "1e110"],
+        ["fringes", "--axis", "position", "--d", "2e154"],
+        ["fringes", "--axis", "position", "--alpha", "6", "--d", "2e154"],
+        ["fringes", "--axis", "position", "--x0", "1e-50", "--d", "1e110"],
+    ],
+    ids=["simulate", "simulate-wide-slits", "simulate-ratio", "fringes", "fringes-alpha", "fringes-ratio"],
+)
+def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv):
+    # the position closed forms square d and d / width: where d**2 overflows,
+    # or (ratio) d / width does with d**2 finite, the request is refused by
+    # name before they square, not an OverflowError traceback or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")) == 2
+    assert "slit offset d=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_numeric_widened_grid_over_budget_is_a_usage_error(tmp_path, capsys):
+    # d = 2e154 widens the window to 5.3e154 points for the position density:
+    # sized and refused by name before any sample is taken, not left to
+    # numpy's "Maximum allowed size exceeded" (test_numeric checks the budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["--d", "2e154", "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")]
+        assert run("simulate", "--engine", "numeric", *argv) == 2
+    err = capsys.readouterr().err
+    assert "needs 5.333e+154 points on a grid widened to reach" in err
+    assert all(name in err for name in ("d=2e+154", "x0=1.0", "alpha=0.0"))
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- fringes

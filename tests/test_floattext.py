@@ -88,6 +88,12 @@ def test_floor_logarithms_are_exact_over_their_range():
     for e in range(-325, 326):
         num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
         assert _floattext._flog2pow10(e) == floor_log(num, den, 2)
+    # the kernel runs them on int64 arrays: the same values
+    q, e = np.arange(-1075, 973), np.arange(-325, 326)
+    assert _floattext._flog10pow2(q).tolist() == [_floattext._flog10pow2(x) for x in q.tolist()]
+    assert (_floattext._flog10threequarterspow2(q).tolist()
+            == [_floattext._flog10threequarterspow2(x) for x in q.tolist()])
+    assert _floattext._flog2pow10(e).tolist() == [_floattext._flog2pow10(x) for x in e.tolist()]
 
 
 def test_g_brackets_each_power_of_ten():
