@@ -27,6 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _position_width, _require_finite
+from .model import _require_sheared_arguments
 
 __all__ = [
     "FluxSpec",
@@ -194,10 +195,18 @@ def position_marginal_propagated(params: SlitPairParams, x):
     x = np.asarray(x, dtype=float)
     x0, d, hbar, delta, alpha = params.x0, params.d, params.hbar, params.delta, params.alpha
     big = _position_width(params)
+    # evaluated left to right, 2 x alpha d hbar can overflow (and x0**2 big**2
+    # underflow to 0) where d**2 and (d / big)**2 are finite: refuse that
+    # before cos turns it into NaN
+    with np.errstate(all="ignore"):
+        phase = 2 * x * alpha * d * hbar / (x0**2 * big**2)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(
+            f"cross-term phase 2*x*alpha*d*hbar / (x0**2 * width**2) is not finite, for "
+            f"alpha={alpha!r}, d={d!r}, hbar={hbar!r} (x0={x0!r}, propagated width {big!r})"
+        )
     slits = np.exp(-((x - d) / big) ** 2) + np.exp(-((x + d) / big) ** 2)
-    cross = 2 * np.exp(-(x**2 + d**2) / big**2) * np.cos(
-        2 * x * alpha * d * hbar / (x0**2 * big**2) - delta
-    )
+    cross = 2 * np.exp(-(x**2 + d**2) / big**2) * np.cos(phase - delta)
     return (x0 / big) * (slits + cross)
 
 
@@ -251,6 +260,7 @@ def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> Wi
 def simulate(params: SlitPairParams, grid: Grid2D) -> Tuple[WignerField, np.ndarray, np.ndarray]:
     """(field after flight, position density, momentum density) on ``grid`` in raw units."""
     x_density = position_marginal_propagated(params, grid.x_axis.points())
+    _require_sheared_arguments(params, grid)
     return two_slit_field(params, grid), x_density, momentum_marginal(params, grid.p_axis.points())
 
 

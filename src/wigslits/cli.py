@@ -11,12 +11,17 @@ system; physics is computed in raw units internally.
 
 Exit codes: 0 ok, 2 usage/parse error, 3 numerical guard tripped,
 4 fringe analysis failure.
+
+:func:`main` may be called any number of times in one process, as the
+workloads in ``perfbench/`` do. The parser is built on first use and then
+shared, so callers must not mutate what :func:`build_parser` returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -239,6 +244,12 @@ def cmd_phase(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+# One parser per process: building the three-subcommand tree costs far more
+# than parsing one argv with it. parse_args makes a fresh namespace each
+# call and changes nothing in the parser, so sharing it carries no state
+# between calls; callers must not mutate it. The cmd_* functions are bound
+# as defaults when it is first built.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wigslits",
@@ -290,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TruncationError, ConventionViolationError) as exc:

@@ -106,6 +106,23 @@ def _position_width(params: SlitPairParams) -> float:
     return width
 
 
+def _require_sheared_arguments(params: SlitPairParams, grid: Grid2D) -> None:
+    """Refuse a grid on which the sheared Gaussian arguments square past the float range.
+
+    The two-slit closed form sheared by alpha squares (x - alpha p -+ d) / x0
+    and (x - alpha p) / x0, all at most (max|x| + alpha max|p| + d) / x0 on
+    the grid. Raises ValueError, naming x0, d, alpha and hbar, where that
+    bound squared overflows.
+    """
+    x_reach, p_reach = (max(abs(axis.min), abs(axis.max)) for axis in (grid.x_axis, grid.p_axis))
+    bound = (x_reach + params.alpha * p_reach + params.d) / params.x0
+    if not math.isfinite(bound * bound):
+        raise ValueError(
+            f"sheared Gaussian argument (max|x| + alpha max|p| + d) / x0 = {bound!r} squares past the "
+            f"float range, for x0={params.x0!r}, d={params.d!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform sampling lattice, inclusive of both endpoints."""

@@ -98,6 +98,26 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_calls_share_one_parser_and_carry_no_state(tmp_path, capsys):
+    # main() parses every argv with the one parser build_parser() makes;
+    # nothing a call sets, or a usage error in between, reaches the next call
+    assert wigslits.cli.build_parser() is wigslits.cli.build_parser()
+    usage_error = ["phase", "--flux", "1", "--flux-quantum", "1", "--electric", "p1", "p2", "--scale", "1"]
+    fringes = ["fringes", "--axis", "momentum", "--delta", "4"]
+    report = tmp_path / "r.json"
+    assert run(*fringes, "--out", str(report)) == 0
+    assert run(*usage_error) == 2
+    capsys.readouterr()
+    assert run(*fringes) == 0
+    assert capsys.readouterr().out == report.read_text(encoding="utf-8")
+
+    grid = ["--d", "5", "--nx", "64", "--np", "64"]
+    assert run("simulate", *grid, "--engine", "numeric", "--out", str(tmp_path / "a")) == 0
+    assert run(*usage_error) == 2
+    assert run("simulate", *grid, "--out", str(tmp_path / "b")) == 0
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["engine"] == "analytic"
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -422,6 +442,33 @@ def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv):
         warnings.simplefilter("error")
         assert run(*argv, "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")) == 2
     assert "slit offset d=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["fringes", "--axis", "position"]])
+def test_cross_term_phase_overflow_is_a_usage_error(tmp_path, capsys, command):
+    # d**2, (d / width)**2 and width**2 are finite, but 2 x alpha d hbar
+    # overflows left to right: refused by name, not NaN rows with exit 0
+    # (simulate) or a warning before "non-finite values" (fringes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["--alpha", "1e153", "--hbar", "1e-153", "--d", "1e154", "--nx", "33", "--np", "17"]
+        assert run(*command, *argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "cross-term phase" in err and all(name in err for name in ("alpha=", "d=", "hbar="))
+    assert not (tmp_path / "out").exists()
+
+
+def test_sheared_gaussian_argument_overflow_is_a_usage_error(tmp_path, capsys):
+    # the propagated width and d pass their rules, but x - alpha p reaches
+    # 2.4e141 against x0 = 1e-160, whose ratio squares past the float range
+    # in the sheared field: refused by name, not overflow warnings with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["--x0", "1e-160", "--d", "1e-300", "--hbar", "1e-20", "--alpha", "6", "--nx", "33", "--np", "17"]
+        assert run("simulate", *argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "sheared Gaussian argument" in err and all(name in err for name in ("x0=", "d=", "alpha=", "hbar="))
     assert not (tmp_path / "out").exists()
 
 
