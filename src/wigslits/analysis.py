@@ -44,6 +44,19 @@ _MIN_PROMINENCE = 0.05
 _PATTERN_LEVEL = math.exp(-9)
 
 
+def _capped(values: np.ndarray) -> np.ndarray:
+    """``values``, scaled down by a power of two where their max reaches 2**900.
+
+    A marginal can peak within a factor 2 of the float maximum (8 pi x0^2
+    does), where 2 y0 or a sum of values overflows. Scaled, the max is below
+    2**900, so sums of up to 2**100 values stay finite; the scaling is
+    exact, so no comparison, ratio or phase formed from the values changes,
+    and values below the cap are returned as they are.
+    """
+    exponent = math.frexp(values.max())[1]
+    return np.ldexp(values, 900 - exponent) if exponent > 900 else values
+
+
 def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
     """Positions of local maxima with prominence >= ``_MIN_PROMINENCE`` (0.05) * max(curve).
 
@@ -51,7 +64,7 @@ def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
     the parabola through it and its two neighbors. Returns an ascending
     list; empty when the curve has no prominent peaks (e.g. it is flat).
     """
-    values = curve.values
+    values = _capped(curve.values)
     peak = values.max()
     if peak <= 0:
         return []
@@ -190,7 +203,7 @@ def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
     # Hann window: zero value and slope at the edges, so grid truncation of
     # a non-decayed envelope does not leak into the comb phase.
     g = curve.grid.points()
-    windowed = np.hanning(curve.grid.n) * curve.values
+    windowed = np.hanning(curve.grid.n) * _capped(curve.values)
     spacing = curve.grid.spacing
     return lambda omega: complex(np.sum(windowed * np.exp(-1j * omega * g)) * spacing)
 
@@ -249,7 +262,8 @@ def _shift(maxima: List[float], component: Callable[[float], complex], reference
         omega = _comb_frequency(ref_component, ref_maxima)
     except AnalysisError:
         # the envelope centroid: the reference has a maximum, so its mass is > 0
-        centroid = (reference.values * reference.grid.points()).sum() / reference.values.sum()
+        weights = _capped(reference.values)
+        centroid = (weights * reference.grid.points()).sum() / weights.sum()
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
         m_cur = min(maxima, key=lambda m: abs(m - m_ref))
         return m_cur - m_ref

@@ -26,8 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _position_width, _require_finite
-from .model import _require_sheared_arguments
+from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _require_domain, _require_finite
 
 __all__ = [
     "FluxSpec",
@@ -158,16 +157,9 @@ def wigner_single_slit(params: SlitPairParams, x, p, slit: int = 1):
     return 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2) * np.exp(-((x - c) / x0) ** 2)
 
 
-def _momentum_prefactor(scale: int, params: SlitPairParams) -> float:
-    """scale * pi * x0^2, the prefactor of a momentum closed form; ValueError where it overflows or vanishes."""
-    try:
-        prefactor = scale * math.pi * params.x0**2
-    except OverflowError:
-        prefactor = math.inf
-    if not 0 < prefactor < math.inf:
-        raise ValueError(f"momentum prefactor {scale}*pi*x0**2 = {prefactor!r} must be finite and > 0, "
-                         f"for x0={params.x0!r}")
-    return prefactor
+def _reach(coords: np.ndarray) -> float:
+    """max|coords|, the reach that :func:`wigslits.model._require_domain` checks a closed form at."""
+    return float(max(coords.max(initial=0.0), -coords.min(initial=0.0)))  # no |coords| temporary
 
 
 def momentum_marginal(params: SlitPairParams, p):
@@ -178,11 +170,8 @@ def momentum_marginal(params: SlitPairParams, p):
     """
     p = np.asarray(p, dtype=float)
     x0, d, hbar, delta = params.x0, params.d, params.hbar, params.delta
-    return (
-        _momentum_prefactor(8, params)
-        * np.exp(-(p * x0 / hbar) ** 2)
-        * np.cos(p * d / hbar - delta / 2) ** 2
-    )
+    _require_domain(params, p_reach=_reach(p))
+    return 8 * math.pi * x0**2 * np.exp(-(p * x0 / hbar) ** 2) * np.cos(p * d / hbar - delta / 2) ** 2
 
 
 def position_marginal_propagated(params: SlitPairParams, x):
@@ -194,18 +183,9 @@ def position_marginal_propagated(params: SlitPairParams, x):
     """
     x = np.asarray(x, dtype=float)
     x0, d, hbar, delta, alpha = params.x0, params.d, params.hbar, params.delta, params.alpha
-    big = _position_width(params)
-    # evaluated left to right, 2 x alpha d hbar can overflow (and x0**2 big**2
-    # underflow to 0) where d**2 and (d / big)**2 are finite: refuse that
-    # before cos turns it into NaN
-    with np.errstate(all="ignore"):
-        phase = 2 * x * alpha * d * hbar / (x0**2 * big**2)
-    if not np.all(np.isfinite(phase)):
-        raise ValueError(
-            f"cross-term phase 2*x*alpha*d*hbar / (x0**2 * width**2) is not finite, for "
-            f"alpha={alpha!r}, d={d!r}, hbar={hbar!r} (x0={x0!r}, propagated width {big!r})"
-        )
+    big = _require_domain(params, x_reach=_reach(x))
     slits = np.exp(-((x - d) / big) ** 2) + np.exp(-((x + d) / big) ** 2)
+    phase = 2 * x * alpha * d * hbar / (x0**2 * big**2)
     cross = 2 * np.exp(-(x**2 + d**2) / big**2) * np.cos(phase - delta)
     return (x0 / big) * (slits + cross)
 
@@ -226,9 +206,10 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
     coords = np.asarray(coords, dtype=float)
     x0 = params.x0
     if axis == "momentum":
-        return _momentum_prefactor(2, params) * np.exp(-(coords * x0 / params.hbar) ** 2)
+        _require_domain(params, p_reach=_reach(coords))
+        return 2 * math.pi * x0**2 * np.exp(-(coords * x0 / params.hbar) ** 2)
     if axis == "position":
-        big = _position_width(params)
+        big = _require_domain(params, x_reach=_reach(coords))
         return (x0 / big) * np.exp(-((coords - slit * params.d) / big) ** 2)
     raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
 
@@ -236,6 +217,7 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
 def _sheared_field(formula, params: SlitPairParams, grid: Grid2D, *args) -> WignerField:
     """:func:`_sheared` over the grid's x column and p row, as a field that adopts the one output."""
     x, p = grid.x_axis.points()[:, None], grid.p_axis.points()[None, :]
+    _require_domain(params, _reach(x), _reach(p))
     values = _sheared(formula, params, x, p, *args)
     values.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=grid, values=values)
@@ -260,7 +242,6 @@ def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> Wi
 def simulate(params: SlitPairParams, grid: Grid2D) -> Tuple[WignerField, np.ndarray, np.ndarray]:
     """(field after flight, position density, momentum density) on ``grid`` in raw units."""
     x_density = position_marginal_propagated(params, grid.x_axis.points())
-    _require_sheared_arguments(params, grid)
     return two_slit_field(params, grid), x_density, momentum_marginal(params, grid.p_axis.points())
 
 

@@ -25,6 +25,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -124,13 +125,25 @@ def _params_from_args(args) -> SlitPairParams:
 
 
 def _grids(args, params: SlitPairParams) -> Tuple[Grid1D, Grid1D, Grid1D, Grid1D]:
-    """The flags' normalized x and p axes, then the same lattices in raw units."""
+    """The flags' normalized x and p axes, then the same lattices in raw units.
+
+    Raises ValueError, naming the scale (x0 or hbar/x0), where it takes a
+    valid normalized window, or its width, past the float range, or
+    collapses it.
+    """
     x_norm = Grid1D(min=args.xmin, max=args.xmax, n=args.nx)
     p_norm = Grid1D(min=args.pmin, max=args.pmax, n=args.n_p)
-    sx, sp = params.x0, params.hbar / params.x0
-    x_raw = Grid1D(min=x_norm.min * sx, max=x_norm.max * sx, n=x_norm.n)
-    p_raw = Grid1D(min=p_norm.min * sp, max=p_norm.max * sp, n=p_norm.n)
-    return x_norm, p_norm, x_raw, p_raw
+    raw = []
+    for axis, name, scale in ((x_norm, "x0", params.x0), (p_norm, "hbar/x0", params.hbar / params.x0)):
+        lo, hi = axis.min * scale, axis.max * scale
+        if not (lo < hi and math.isfinite(hi - lo)):  # also refuses an infinite or NaN end
+            raise ValueError(
+                f"scale {name} = {scale!r} takes the normalized window [{axis.min!r}, {axis.max!r}] to "
+                f"[{lo!r}, {hi!r}], not a window with min < max and a finite width, "
+                f"for x0={params.x0!r}, hbar={params.hbar!r}"
+            )
+        raw.append(Grid1D(min=lo, max=hi, n=axis.n))
+    return (x_norm, p_norm, *raw)
 
 
 # ---------------------------------------------------------------- simulate

@@ -1,5 +1,9 @@
 """Core value types: slit-pair parameters, sampling grids, and field containers.
 
+This module also owns the parameter domain of the closed forms: the private
+``_require_domain`` is the one range check that every closed form in
+:mod:`wigslits.analytic` runs, scoped to the axes it evaluates.
+
 All types are immutable after construction (frozen dataclasses; array payloads
 are marked read-only), so instances can be shared freely across threads.
 A container copies the array it is given, unless that array is already
@@ -91,36 +95,48 @@ def propagated_width(params: SlitPairParams) -> float:
     return width
 
 
-def _position_width(params: SlitPairParams) -> float:
-    """:func:`propagated_width` for the position closed forms, which also square d and d / width.
+def _require_domain(
+    params: SlitPairParams, x_reach: Optional[float] = None, p_reach: Optional[float] = None
+) -> Optional[float]:
+    """Refuse a slit pair for which a closed form leaves the float range out to ``x_reach`` / ``p_reach``.
 
-    Raises ValueError, naming d, where either square overflows.
+    The reaches are the largest |x| and |p| the caller evaluates. Each scale
+    that the forms on the reached axes build is evaluated at the reach in its
+    formula's own order of operations, which bounds it nearer in: with x, the
+    propagated width (through :func:`propagated_width`), d**2, (d / width)**2
+    and the cross-term phase; with p, the prefactor 8 pi x0**2, which must
+    also be > 0, and the comb phase; with both (the sheared fields), also
+    ((max|x| + alpha max|p| + d) / x0)**2. Raises ValueError naming the
+    scale, x0, d, alpha and hbar; returns the width when x is reached.
     """
-    width = propagated_width(params)
-    ratio = params.d / width
-    if not (math.isfinite(params.d * params.d) and math.isfinite(ratio * ratio)):
-        raise ValueError(
-            f"slit offset d={params.d!r} is out of range: d**2 or (d / width)**2 overflows, for "
-            f"propagated width {width!r} (x0={params.x0!r}, alpha={params.alpha!r}, hbar={params.hbar!r})"
-        )
+    x0, d, alpha, hbar = (np.float64(v) for v in (params.x0, params.d, params.alpha, params.hbar))
+    width, scales = None, []  # scales: (name, value, exclusive lower bound)
+    with np.errstate(all="ignore"):
+        if x_reach is not None:
+            width = propagated_width(params)
+            scales += [
+                ("squared slit offset d**2", d**2, -math.inf),
+                ("squared ratio (d / width)**2", (d / width) ** 2, -math.inf),
+                ("cross-term phase 2*x*alpha*d*hbar / (x0**2 * width**2) at max|x|",
+                 2 * x_reach * alpha * d * hbar / (x0**2 * width**2), -math.inf),
+            ]
+        if x_reach is not None and p_reach is not None:
+            scales.append(("sheared Gaussian argument ((max|x| + alpha max|p| + d) / x0)**2",
+                           ((x_reach + alpha * p_reach + d) / x0) ** 2, -math.inf))
+        if p_reach is not None:
+            # the comb phase is p d / hbar in the momentum densities, 2 p d / hbar in the fields
+            comb = p_reach if x_reach is None else 2 * p_reach
+            scales += [
+                ("momentum prefactor 8*pi*x0**2", 8 * math.pi * x0**2, 0.0),
+                (f"comb phase {'' if x_reach is None else '2*'}p*d/hbar at max|p|", comb * d / hbar, -math.inf),
+            ]
+    for name, value, low in scales:
+        if not low < value < math.inf:
+            raise ValueError(
+                f"{name} = {float(value)!r} is out of range, for x0={params.x0!r}, "
+                f"slit offset d={params.d!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
+            )
     return width
-
-
-def _require_sheared_arguments(params: SlitPairParams, grid: Grid2D) -> None:
-    """Refuse a grid on which the sheared Gaussian arguments square past the float range.
-
-    The two-slit closed form sheared by alpha squares (x - alpha p -+ d) / x0
-    and (x - alpha p) / x0, all at most (max|x| + alpha max|p| + d) / x0 on
-    the grid. Raises ValueError, naming x0, d, alpha and hbar, where that
-    bound squared overflows.
-    """
-    x_reach, p_reach = (max(abs(axis.min), abs(axis.max)) for axis in (grid.x_axis, grid.p_axis))
-    bound = (x_reach + params.alpha * p_reach + params.d) / params.x0
-    if not math.isfinite(bound * bound):
-        raise ValueError(
-            f"sheared Gaussian argument (max|x| + alpha max|p| + d) / x0 = {bound!r} squares past the "
-            f"float range, for x0={params.x0!r}, d={params.d!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -142,6 +158,8 @@ class Grid1D:
             raise ValueError(f"grid needs n >= 2 points, got {self.n}")
         if not self.min < self.max:
             raise ValueError(f"grid needs min < max, got [{self.min}, {self.max}]")
+        if not math.isfinite(self.max - self.min):  # the spacing, and so every point, would not be finite
+            raise ValueError(f"grid needs a finite width max - min, got [{self.min}, {self.max}]")
 
     @property
     def spacing(self) -> float:

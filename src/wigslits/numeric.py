@@ -268,12 +268,19 @@ def propagate_free(
 
     The grid must hold the packet both before and after flight (the
     envelope widens to roughly the propagated width); either failure
-    raises TruncationError.
+    raises TruncationError. A phase alpha p^2 / (2 hbar) that is not finite
+    at the largest FFT momentum raises ValueError before any transform.
     """
     if _require_finite("alpha", alpha) < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     _check_edge_decay(psi.values, "free propagation (input)", on_truncation)
     p = 2 * math.pi * hbar * np.fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
+    p_max = float(max(p.max(), -p.min()))
+    if not math.isfinite(alpha * (p_max * p_max) / (2 * hbar)):
+        raise ValueError(
+            f"free-flight phase alpha*p**2/(2*hbar) is not finite at the largest FFT momentum "
+            f"p = {p_max!r}, for hbar={hbar!r}, spacing {psi.grid.spacing!r}, alpha={alpha!r}"
+        )
     evolved = np.fft.fft(np.fft.ifft(psi.values) * np.exp(1j * alpha * p**2 / (2 * hbar)))
     _check_edge_decay(evolved, "free propagation (output)", on_truncation)
     return SampledWavefunction(grid=psi.grid, values=evolved)
@@ -299,11 +306,11 @@ def _propagated_density(params: SlitPairParams, x_grid: Grid1D) -> np.ndarray:
         )
     m_lo, m_hi = (max(0, math.ceil(m)) for m in steps)
     n_wide = x_grid.n + m_lo + m_hi
-    need = 80 * n_wide
-    if need > _WIDE_GRID_BUDGET:
+    if 80 * n_wide > _WIDE_GRID_BUDGET:
+        points = float(x_grid.n) + m_lo + m_hi  # as a float: a count past its range prints as inf
         raise ValueError(
-            f"free flight of the position density needs {n_wide:.4g} points on a grid widened to reach "
-            f"{reach!r} on each side, ~{need:.3g} bytes against a budget of {_WIDE_GRID_BUDGET}, "
+            f"free flight of the position density needs {points:.4g} points on a grid widened to reach "
+            f"{reach!r} on each side, ~{80 * points:.3g} bytes against a budget of {_WIDE_GRID_BUDGET}, "
             f"for d={params.d!r}, x0={params.x0!r}, alpha={params.alpha!r}"
         )
     wide = Grid1D(min=x_grid.min - m_lo * h, max=x_grid.min + (n_wide - 1 - m_lo) * h, n=n_wide)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,25 @@ def test_fringe_report_equals_the_public_functions(curve, reference, period_none
     assert report.shift_vs_reference == fringe_shift(curve, reference)
     assert report.pattern_interval == (-1.0, 1.0)
     assert fringe_report(curve, reference).pattern_interval is None
+
+
+def _scaled_to_float_max(curve):
+    # exact power-of-two scaling that puts the peak in [2**1023, 2**1024)
+    values = np.ldexp(curve.values, 1024 - math.frexp(curve.values.max())[1])
+    return MarginalCurve(curve.axis_label, curve.grid, values)
+
+
+@pytest.mark.parametrize("reference", [_p_curve(0.0), _bump(0.0)], ids=["fourier", "centroid"])
+def test_fringe_report_holds_its_bits_up_to_the_float_maximum(reference):
+    # a marginal's scale, 8 pi x0^2, can come within a factor 2 of the float
+    # maximum: the vertex refinement must not form 2 y0, nor the windowed
+    # component and the centroid fallback sum the raw values; an exact
+    # scaling changes no bit of the report
+    curve = _p_curve(4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = fringe_report(_scaled_to_float_max(curve), _scaled_to_float_max(reference))
+    assert scaled == fringe_report(curve, reference)
 
 
 # ---------------------------------------------------------------- pattern interval

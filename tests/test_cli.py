@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wigslits
 from wigslits import (
@@ -28,6 +31,7 @@ from wigslits import (
 )
 import wigslits.analysis
 import wigslits.cli
+import wigslits.numeric
 from wigslits import _floattext
 from wigslits.cli import _write_atomic, _write_csv, main
 from test_numeric import _traced_peak_bytes
@@ -486,6 +490,79 @@ def test_simulate_numeric_widened_grid_over_budget_is_a_usage_error(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_numeric_free_flight_phase_overflow_is_a_usage_error(tmp_path, capsys):
+    # the largest FFT momentum of the widened grid, 3.1e183, squares past the
+    # float range: refused by name before the FFT, not an overflow in p**2
+    # followed by "wavefunction contains non-finite values"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["--x0", "3.1960429258303572e-43", "--d", "1.1233295459727828e-76",
+                "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "33", "--np", "17"]
+        assert run("simulate", "--engine", "numeric", *argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "free-flight phase" in err and all(name in err for name in ("hbar=", "spacing", "alpha="))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, scale",
+    [
+        (["--x0", "1e-200", "--hbar", "1e200"], "hbar/x0 = inf"),
+        (["--x0", "1e200", "--hbar", "1e-200"], "hbar/x0 = 0.0"),
+        (["--x0", "1e308"], "x0 = 1e+308"),
+        (["--x0", "1.7527204992081068e-190", "--hbar", "4.127428451816447e+117"], "hbar/x0 = 2.3548697317577173e+307"),
+    ],
+    ids=["p-scale-overflows", "p-scale-underflows", "x-scale-overflows", "p-width-overflows"],
+)
+def test_raw_window_out_of_range_names_its_scale(capsys, argv, scale):
+    # the normalized windows are valid; their raw images overflow, reach
+    # +-9.4e307 with a width past the float range, or (hbar/x0 = 0) collapse
+    # to [-0.0, 0.0]: the scale is named, not the grid's min, its ordering or
+    # a NaN spacing
+    assert run("fringes", "--axis", "momentum", *argv) == 2
+    err = capsys.readouterr().err
+    assert f"scale {scale} takes the normalized window" in err and "x0=" in err and "hbar=" in err
+
+
+_LOG_UNIFORM = st.floats(-300, 300).map(lambda exponent: 10.0**exponent)
+_COMMANDS = [
+    ["simulate", "--engine", "analytic"],
+    ["simulate", "--engine", "numeric"],
+    ["fringes", "--axis", "momentum"],
+    ["fringes", "--axis", "position"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # the comb phase p * d / hbar overflowed in momentum_marginal
+    command=_COMMANDS[2], x0=2.215340208846029e-33, d=1.1821988896555594e220, hbar=3.692833194127074e92,
+    alpha=0.0, delta=0.0,
+)
+@example(  # a maximum's parabola vertex formed 2 y0 of a density peaking at 9.5e307
+    command=_COMMANDS[2], x0=1.9463169741479125e153, d=7.276844326829853e164, hbar=1.6696991699065184e54,
+    alpha=1.3978807150738937e-131, delta=1.3086636502491344,
+)
+@given(
+    command=st.sampled_from(_COMMANDS),
+    x0=_LOG_UNIFORM,
+    d=_LOG_UNIFORM,
+    hbar=_LOG_UNIFORM,
+    alpha=st.tuples(st.integers(0, 4), _LOG_UNIFORM).map(lambda pick: 0.0 if pick[0] == 0 else pick[1]),
+    delta=st.floats(0, 2 * math.pi),
+)
+def test_every_finite_request_exits_cleanly(command, x0, d, hbar, alpha, delta):
+    # any finite slit pair is computed or refused with an exit code, never a
+    # traceback or a floating-point warning on the way. The numeric engine's
+    # widened grid gets a 5 MiB budget, so no draw allocates much memory (the
+    # CI domain sweep runs at the real budget)
+    argv = [*command, "--x0", repr(x0), "--d", repr(d), "--hbar", repr(hbar), "--alpha", repr(alpha),
+            "--delta", repr(delta), "--nx", "33", "--np", "17"]
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2**16)
+        warnings.simplefilter("error")
+        assert run(*argv, *(["--out", out] if command[0] == "simulate" else [])) in (0, 2, 3, 4)
+
+
 # ---------------------------------------------------------------- fringes
 
 
@@ -566,6 +643,19 @@ def test_fringes_levels_are_fixed(flag):
     with pytest.raises(SystemExit) as exc:
         run("fringes", "--axis", "momentum", flag, "0.1")
     assert exc.value.code == 2
+
+
+def test_fringes_centroid_fallback_at_extreme_scale(capsys):
+    # a reference with one maximum takes the shift from the maximum nearest
+    # its envelope centroid; its values reach ~5e307 here, whose weighted
+    # sums must not overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["--x0", "1.46e153", "--d", "3.62e43", "--hbar", "6.96e-62", "--nx", "33", "--np", "17"]
+        assert run("fringes", "--axis", "momentum", *argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"maxima": [0.0], "period_estimate": None, "shift_vs_reference": 0.0,
+                      "pattern_interval": [-3.0, 3.0]}
 
 
 def test_fringes_identical_inputs(capsys):

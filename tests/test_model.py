@@ -18,6 +18,7 @@ from wigslits import (
     normalized_params,
     propagated_width,
 )
+from wigslits.model import _require_domain
 
 
 # ---------------------------------------------------------------- params
@@ -75,6 +76,23 @@ def test_propagated_width_refuses_overflow_and_zero_width(kwargs):
         propagated_width(params)
 
 
+def test_require_domain_checks_only_the_axes_reached():
+    # the momentum forms never form the width, so hbar = 1e300 passes there;
+    # the position forms get the width back; the comb phase a momentum
+    # density builds is p d / hbar, a field's is 2 p d / hbar
+    huge_hbar = SlitPairParams(x0=1.0, d=5.0, hbar=1e300)
+    assert _require_domain(huge_hbar, p_reach=4e300) is None
+    with pytest.raises(ValueError, match="propagated width"):
+        _require_domain(huge_hbar, x_reach=12.0)
+    params = normalized_params(alpha=6.0)
+    assert _require_domain(params, x_reach=12.0) == propagated_width(params)
+    comb = SlitPairParams(x0=1.0, d=1.0, hbar=1.0)
+    assert _require_domain(comb, p_reach=1e308) is None
+    with pytest.raises(ValueError, match=r"^comb phase 2\*p\*d/hbar at max\|p\| = inf is out of range, for x0=1.0, "
+                                         r"slit offset d=1.0, alpha=0.0, hbar=1.0$"):
+        _require_domain(comb, x_reach=0.0, p_reach=1e308)
+
+
 @given(
     a1=st.floats(min_value=0.0, max_value=50.0),
     a2=st.floats(min_value=0.0, max_value=50.0),
@@ -109,6 +127,13 @@ def test_grid_endpoint_hits_max_within_roundoff():
 def test_grid_validation(bad):
     with pytest.raises(ValueError):
         Grid1D(**bad)
+
+
+def test_grid_refuses_a_width_past_the_float_range():
+    # both ends are finite, but max - min, and so the spacing, is not: every
+    # point past the first would be NaN
+    with pytest.raises(ValueError, match=r"finite width max - min, got \[-1e\+308, 1e\+308\]"):
+        Grid1D(min=-1e308, max=1e308, n=3)
 
 
 # ---------------------------------------------------------------- field containers
