@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import AnalysisError
-from .model import FringeReport, MarginalCurve, WignerField
+from .model import FringeReport, Grid1D, MarginalCurve, WignerField
 from .numeric import field_marginal
 
 __all__ = [
@@ -39,22 +39,42 @@ __all__ = [
 # washed-out outer fringes from skewing the initial period estimate.
 _MIN_PROMINENCE = 0.05
 
+# Binary exponent past which a curve is first scaled by a power of two: values
+# whose peak, or a grid whose spacing, lies outside 2**-201 .. 2**200 are
+# taken into [0.5, 1). Within those bounds every product the analysis forms
+# stays a normal float: the windowed component's sum times the spacing, the
+# centroid's weights times points, and the comb search's steps times
+# magnitudes. A marginal can peak near the float maximum (8 pi x0^2 does),
+# and a curve file can carry any unit. The scaling is exact, so a report
+# moves with the grid's scale and no bit more, and curves within the bounds
+# are used as they are.
+_RANGE_EXPONENT = 200
+
 # Support level of the pattern interval, as a fraction of each curve's max: a
 # single-slit projection exp(-(u/w)^2) counts within three widths w of its center.
 _PATTERN_LEVEL = math.exp(-9)
 
 
-def _capped(values: np.ndarray) -> np.ndarray:
-    """``values``, scaled down by a power of two where their max reaches 2**900.
+def _scale_exponent(x: float) -> int:
+    """0 where x is 0 or within 2**+-``_RANGE_EXPONENT``, else the power of two that takes x into [0.5, 1)."""
+    exponent = math.frexp(x)[1]
+    return -exponent if abs(exponent) > _RANGE_EXPONENT else 0
 
-    A marginal can peak within a factor 2 of the float maximum (8 pi x0^2
-    does), where 2 y0 or a sum of values overflows. Scaled, the max is below
-    2**900, so sums of up to 2**100 values stay finite; the scaling is
-    exact, so no comparison, ratio or phase formed from the values changes,
-    and values below the cap are returned as they are.
-    """
-    exponent = math.frexp(values.max())[1]
-    return np.ldexp(values, 900 - exponent) if exponent > 900 else values
+
+def _in_range(values: np.ndarray) -> np.ndarray:
+    """``values``, scaled by a power of two to a peak in [0.5, 1) where their peak is out of range."""
+    exponent = _scale_exponent(values.max())
+    return np.ldexp(values, exponent) if exponent else values
+
+
+def _framed(curve: MarginalCurve, reference: MarginalCurve) -> Tuple[MarginalCurve, MarginalCurve, int]:
+    """The two curves, which must share a grid and an axis, on that grid scaled by 2**j into range; and j."""
+    _require_comparable(curve, reference)
+    j = _scale_exponent(curve.grid.spacing)
+    if j:
+        grid = Grid1D(min=math.ldexp(curve.grid.min, j), max=math.ldexp(curve.grid.max, j), n=curve.grid.n)
+        curve, reference = (MarginalCurve(c.axis_label, grid, c.values) for c in (curve, reference))
+    return curve, reference, j
 
 
 def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
@@ -64,7 +84,7 @@ def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
     the parabola through it and its two neighbors. Returns an ascending
     list; empty when the curve has no prominent peaks (e.g. it is flat).
     """
-    values = _capped(curve.values)
+    values = _in_range(curve.values)
     peak = values.max()
     if peak <= 0:
         return []
@@ -203,7 +223,7 @@ def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
     # Hann window: zero value and slope at the edges, so grid truncation of
     # a non-decayed envelope does not leak into the comb phase.
     g = curve.grid.points()
-    windowed = np.hanning(curve.grid.n) * _capped(curve.values)
+    windowed = np.hanning(curve.grid.n) * _in_range(curve.values)
     spacing = curve.grid.spacing
     return lambda omega: complex(np.sum(windowed * np.exp(-1j * omega * g)) * spacing)
 
@@ -247,8 +267,8 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     reference envelope centroid when the reference has too few fringes to
     carry a period.
     """
-    _require_comparable(curve, reference)
-    return _shift(find_fringe_maxima(curve), _windowed_component(curve), reference)
+    curve, reference, j = _framed(curve, reference)
+    return math.ldexp(_shift(find_fringe_maxima(curve), _windowed_component(curve), reference), -j)
 
 
 def _shift(maxima: List[float], component: Callable[[float], complex], reference: MarginalCurve) -> float:
@@ -262,7 +282,7 @@ def _shift(maxima: List[float], component: Callable[[float], complex], reference
         omega = _comb_frequency(ref_component, ref_maxima)
     except AnalysisError:
         # the envelope centroid: the reference has a maximum, so its mass is > 0
-        weights = _capped(reference.values)
+        weights = _in_range(reference.values)
         centroid = (weights * reference.grid.points()).sum() / weights.sum()
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
         m_cur = min(maxima, key=lambda m: abs(m - m_ref))
@@ -284,13 +304,14 @@ def fringe_report(
     below 3 maxima); the shift equals :func:`fringe_shift` bit for bit, and
     ``pattern_interval`` is passed through.
     """
-    _require_comparable(curve, reference)
+    curve, reference, j = _framed(curve, reference)
     maxima, component = find_fringe_maxima(curve), _windowed_component(curve)
     try:
-        period = 2 * np.pi / _comb_frequency(component, maxima)
+        period = math.ldexp(2 * np.pi / _comb_frequency(component, maxima), -j)
     except AnalysisError:
         period = None
-    return FringeReport(tuple(maxima), period, _shift(maxima, component, reference), pattern_interval)
+    shift = math.ldexp(_shift(maxima, component, reference), -j)
+    return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, shift, pattern_interval)
 
 
 def common_support_interval(curve1: MarginalCurve, curve2: MarginalCurve) -> Optional[Tuple[float, float]]:

@@ -76,14 +76,32 @@ class PulseSeries:
             raise ValueError(f"pulse series needs >= 2 samples, got {n}")
         t = _frozen_array(self.times, float, (n,), "pulse times")
         v = _frozen_array(self.values, float, (n,), "pulse values")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):  # neighbours compared: their differences can overflow
             raise ValueError("pulse times must be strictly ascending")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
     def integral(self) -> float:
-        """Trapezoid integral of the sampled pulse; exact for piecewise-linear pulses."""
-        return float(np.trapezoid(self.values, self.times))
+        """Trapezoid integral of the sampled pulse; exact for piecewise-linear pulses.
+
+        Where a step, a sum of two values, a product or a partial sum would
+        overflow, the times and values are first scaled down by powers of
+        two and the integral scaled back, so it is inf only past the float
+        range.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.trapezoid(self.values, self.times))
+        if math.isfinite(total):
+            return total
+        # below 2**1022 after the shifts, with room for the step's product and the n-term sum
+        e_t, e_v = (math.frexp(np.abs(a).max())[1] for a in (self.times, self.values))
+        shift_t = max(0, e_t - 1022)
+        shift_v = max(0, e_v - 1022, e_t - shift_t + e_v + self.times.size.bit_length() - 1021)
+        total = np.trapezoid(np.ldexp(self.values, -shift_v), np.ldexp(self.times, -shift_t))
+        try:
+            return math.ldexp(total, shift_t + shift_v)
+        except OverflowError:
+            return math.inf
 
 
 def wigner_two_slit(params: SlitPairParams, x, p):

@@ -113,10 +113,13 @@ def _read_two_column_csv(path: str, expected_header: str) -> Tuple[np.ndarray, n
 
 def _curve_from_csv(path: str, axis_label: str) -> MarginalCurve:
     coords, values = _read_two_column_csv(path, "coord,value")
+    message = f"{path}: coordinates must form an ascending uniform grid"
+    if not np.all(coords[1:] > coords[:-1]):  # neighbours compared: their differences can overflow
+        raise ValueError(message)
+    grid = Grid1D(min=coords[0], max=coords[-1], n=coords.size)  # refuses a width past the float range
     steps = np.diff(coords)
-    if not np.all(steps > 0) or np.ptp(steps) > 1e-9 * steps[0]:
-        raise ValueError(f"{path}: coordinates must form an ascending uniform grid")
-    grid = Grid1D(min=coords[0], max=coords[-1], n=coords.size)
+    if np.ptp(steps) > 1e-9 * steps[0]:
+        raise ValueError(message)
     return MarginalCurve(axis_label=axis_label, grid=grid, values=values)
 
 

@@ -286,36 +286,29 @@ def propagate_free(
     return SampledWavefunction(grid=psi.grid, values=evolved)
 
 
-def _propagated_density(params: SlitPairParams, x_grid: Grid1D) -> np.ndarray:
-    """|psi(x)|^2 after free flight on x_grid, exact to roundoff at every alpha, zero included.
+def _widened_grid(params: SlitPairParams, x_grid: Grid1D) -> Tuple[Grid1D, int]:
+    """The grid on which psi flies for the position density, and the index of x_grid.min on it.
 
     The window usually cannot hold the spread packet, so it is extended by
     whole steps (the requested points stay on the lattice) to d + 8 max(X,
-    x0), X the propagated width, on both sides, propagated and cropped back.
-    A widened grid over ``_WIDE_GRID_BUDGET`` bytes, at 80 a point, is
-    refused with a ValueError before anything is sampled.
+    x0), X the propagated width, on both sides. A widened grid over
+    ``_WIDE_GRID_BUDGET`` bytes, at 80 a point, is refused with a ValueError;
+    a step count past the float range counts as over budget.
     """
     h = x_grid.spacing
     width = propagated_width(params)
     reach = params.d + 8.0 * max(width, params.x0)
-    steps = ((reach + x_grid.min) / h, (reach - x_grid.max) / h)
-    if not all(math.isfinite(m) for m in steps):
-        raise ValueError(
-            f"propagated width {width!r} overflows the step count of a grid widened by steps of "
-            f"{h!r}, for x0={params.x0!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
-        )
-    m_lo, m_hi = (max(0, math.ceil(m)) for m in steps)
-    n_wide = x_grid.n + m_lo + m_hi
-    if 80 * n_wide > _WIDE_GRID_BUDGET:
-        points = float(x_grid.n) + m_lo + m_hi  # as a float: a count past its range prints as inf
+    m_lo, m_hi = (max(0.0, float(np.ceil(m))) for m in ((reach + x_grid.min) / h, (reach - x_grid.max) / h))
+    points = x_grid.n + m_lo + m_hi  # a float: a count past its range prints as inf
+    if 80 * points > _WIDE_GRID_BUDGET:
         raise ValueError(
             f"free flight of the position density needs {points:.4g} points on a grid widened to reach "
-            f"{reach!r} on each side, ~{80 * points:.3g} bytes against a budget of {_WIDE_GRID_BUDGET}, "
+            f"{reach!r} on each side (propagated width {width!r}, hbar={params.hbar!r}), "
+            f"~{80 * points:.3g} bytes against a budget of {_WIDE_GRID_BUDGET}, "
             f"for d={params.d!r}, x0={params.x0!r}, alpha={params.alpha!r}"
         )
-    wide = Grid1D(min=x_grid.min - m_lo * h, max=x_grid.min + (n_wide - 1 - m_lo) * h, n=n_wide)
-    evolved = propagate_free(sample_wavefunction(params, wide), params.alpha, params.hbar)
-    return np.abs(evolved.values[m_lo : m_lo + x_grid.n]) ** 2
+    n_wide, m_lo = int(points), int(m_lo)
+    return Grid1D(min=x_grid.min - m_lo * h, max=x_grid.min + (n_wide - 1 - m_lo) * h, n=n_wide), m_lo
 
 
 def shear_field(field: WignerField, alpha: float) -> WignerField:
@@ -398,15 +391,15 @@ def field_marginals(field: WignerField, hbar: float = 1.0) -> Tuple[MarginalCurv
 def simulate(params: SlitPairParams, grid: Grid2D) -> Tuple[WignerField, np.ndarray, np.ndarray]:
     """(field after flight, position density, momentum density) of the discrete engine on ``grid``.
 
-    The field is psi's transform sheared by alpha. The position density is
-    psi propagated on a widened grid, the momentum density the projection
-    of the unsheared field, which free flight leaves invariant. ``grid`` is
-    in raw units; every edge guard applies ``DEFAULT_EDGE_DECAY_TOL``.
+    Sizes the position density's widened grid, refused over budget before
+    any sample; transforms psi, whose edge, bandwidth and x-integral checks
+    come before any flight; flies psi on the widened grid and crops it back;
+    and shears the transform by alpha. The momentum density is the unsheared
+    field's projection, which free flight leaves invariant. ``grid`` is in
+    raw units; every edge guard applies ``DEFAULT_EDGE_DECAY_TOL``.
     """
-    # first: the widened grid needs the propagated width, so an extreme slit
-    # pair is refused before psi is sampled (where x0**2 would under- or overflow)
-    x_density = _propagated_density(params, grid.x_axis)
-    psi = sample_wavefunction(params, grid.x_axis)
-    base = wigner_transform(psi, grid.p_axis, params.hbar)
-    field = shear_field(base, params.alpha)
-    return field, x_density, field_marginal(base, "momentum", params.hbar).values
+    wide, offset = _widened_grid(params, grid.x_axis)
+    base = wigner_transform(sample_wavefunction(params, grid.x_axis), grid.p_axis, params.hbar)
+    evolved = propagate_free(sample_wavefunction(params, wide), params.alpha, params.hbar)
+    x_density = np.abs(evolved.values[offset : offset + grid.x_axis.n]) ** 2
+    return shear_field(base, params.alpha), x_density, field_marginal(base, "momentum", params.hbar).values

@@ -257,6 +257,64 @@ def test_fringe_report_holds_its_bits_up_to_the_float_maximum(reference):
     assert scaled == fringe_report(curve, reference)
 
 
+_SCALE_PAIRS = {
+    "momentum": (_p_curve(4.0), _p_curve(0.0)),
+    "position": (_x_curve(4.0), _x_curve(0.0)),
+    "centroid": (_bump(0.5), _bump(0.0)),  # one reference maximum: the centroid fallback
+}
+
+
+def _normal_exponents(*arrays):
+    # the range of integers e for which every nonzero entry times 2**e is a normal float
+    entries = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    entries = entries[entries != 0]
+    return -1021 - math.frexp(entries.min())[1], 1024 - math.frexp(entries.max())[1]
+
+
+def _report_numbers(report):
+    return [*report.maxima, *filter(None, (report.period_estimate, report.shift_vs_reference))]
+
+
+_SCALE_REPORTS = {name: fringe_report(*pair) for name, pair in _SCALE_PAIRS.items()}
+_VALUE_EXPONENTS = [_normal_exponents(*(c.values for c in pair)) for pair in _SCALE_PAIRS.values()]
+
+
+def _coord_exponents(name):
+    # the grid's points, spacing and width, and the report's lengths
+    grid = _SCALE_PAIRS[name][0].grid
+    lengths = _report_numbers(_SCALE_REPORTS[name])
+    return _normal_exponents(grid.points(), [grid.spacing, grid.max - grid.min], lengths)
+
+
+_COORD_EXPONENTS = [_coord_exponents(name) for name in _SCALE_PAIRS]
+
+
+def _scaled_curve(curve, k, j):
+    grid = Grid1D(min=math.ldexp(curve.grid.min, j), max=math.ldexp(curve.grid.max, j), n=curve.grid.n)
+    return MarginalCurve(curve.axis_label, grid, np.ldexp(curve.values, k))
+
+
+@settings(max_examples=100, deadline=None)
+@example(name="momentum", k=500, j=530)  # the component's sum * spacing overflowed
+@example(name="momentum", k=-600, j=-500)  # and here underflowed to 0, with no warning
+@given(
+    name=st.sampled_from(sorted(_SCALE_PAIRS)),
+    k=st.integers(max(lo for lo, _ in _VALUE_EXPONENTS), min(hi for _, hi in _VALUE_EXPONENTS)),
+    j=st.integers(max(lo for lo, _ in _COORD_EXPONENTS), min(hi for _, hi in _COORD_EXPONENTS)),
+)
+def test_fringe_report_scales_exactly_with_its_curves(name, k, j):
+    # values times 2**k on coordinates times 2**j: the report is the unscaled
+    # one with every length times 2**j, bit for bit, and no warning on the way
+    curve, reference = (_scaled_curve(c, k, j) for c in _SCALE_PAIRS[name])
+    want = _SCALE_REPORTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fringe_report(curve, reference)
+    assert got.maxima == tuple(math.ldexp(m, j) for m in want.maxima)
+    assert got.period_estimate == (None if want.period_estimate is None else math.ldexp(want.period_estimate, j))
+    assert got.shift_vs_reference == math.ldexp(want.shift_vs_reference, j)
+
+
 # ---------------------------------------------------------------- pattern interval
 
 GRID_2D = Grid2D(X_AXIS, P_AXIS)

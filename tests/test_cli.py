@@ -490,14 +490,27 @@ def test_simulate_numeric_widened_grid_over_budget_is_a_usage_error(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_numeric_checks_the_bandwidth_before_any_flight(tmp_path, capsys, monkeypatch):
+    # 33 points on the default window leave a lag-lattice bandwidth of 2.09
+    # against |p| = 4: refused before psi flies on a widened grid of 106,689
+    # points, since the transform's checks need no flight
+    flights = []
+    fly = wigslits.numeric.propagate_free
+    monkeypatch.setattr(wigslits.numeric, "propagate_free", lambda *a, **k: flights.append(a) or fly(*a, **k))
+    argv = ["--d", "4e4", "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")]
+    assert run("simulate", "--engine", "numeric", *argv) == 2
+    assert "lag-lattice bandwidth" in capsys.readouterr().err
+    assert flights == []
+
+
 def test_simulate_numeric_free_flight_phase_overflow_is_a_usage_error(tmp_path, capsys):
-    # the largest FFT momentum of the widened grid, 3.1e183, squares past the
+    # the largest FFT momentum of the widened grid, 6.4e183, squares past the
     # float range: refused by name before the FFT, not an overflow in p**2
     # followed by "wavefunction contains non-finite values"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         argv = ["--x0", "3.1960429258303572e-43", "--d", "1.1233295459727828e-76",
-                "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "33", "--np", "17"]
+                "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "65", "--np", "17"]
         assert run("simulate", "--engine", "numeric", *argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "free-flight phase" in err and all(name in err for name in ("hbar=", "spacing", "alpha="))
@@ -561,6 +574,50 @@ def test_every_finite_request_exits_cleanly(command, x0, d, hbar, alpha, delta):
         mp.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2**16)
         warnings.simplefilter("error")
         assert run(*argv, *(["--out", out] if command[0] == "simulate" else [])) in (0, 2, 3, 4)
+
+
+_SIGNED_LOG_UNIFORM = st.tuples(st.booleans(), _LOG_UNIFORM).map(lambda pick: -pick[1] if pick[0] else pick[1])
+_PULSE_ROWS = st.lists(st.tuples(_SIGNED_LOG_UNIFORM, _SIGNED_LOG_UNIFORM), min_size=2, max_size=6).map(sorted)
+_CURVE_ROWS = st.builds(
+    lambda lo, step, values: [(lo + i * step, v) for i, v in enumerate(values)],
+    _SIGNED_LOG_UNIFORM,
+    _LOG_UNIFORM,
+    st.lists(st.one_of(st.just(0.0), _LOG_UNIFORM), min_size=3, max_size=12),
+)
+_FILE_REQUESTS = st.one_of(
+    st.tuples(st.sampled_from(["--electric", "--neutron"]), _PULSE_ROWS, _PULSE_ROWS, _SIGNED_LOG_UNIFORM),
+    st.tuples(st.just("--flux"), _SIGNED_LOG_UNIFORM, _SIGNED_LOG_UNIFORM),
+    st.tuples(st.just("--curve"), _CURVE_ROWS, _CURVE_ROWS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(request=("--electric", [(0.0, 1e308), (1e-10, 1e308)], [(0.0, 0.0), (1e-10, 0.0)], 1e-300))
+@example(request=("--neutron", [(-1e308, 1e-300), (1e308, 1e-300)], [(-1e308, 0.0), (1e308, 0.0)], 1.0))
+@example(request=("--curve", [(-1e308, 1.0), (1e308, 2.0)], [(-1e308, 1.0), (1e308, 2.0)]))
+@given(request=_FILE_REQUESTS)
+def test_every_finite_file_input_exits_cleanly(request):
+    # pulse files, flux pairs and curve files of finite numbers are computed
+    # or refused with an exit code, never a traceback or a floating-point
+    # warning on the way; the scale is passed as --scale=<value>, since
+    # argparse reads -1e-05 as a flag
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+
+        def csv(name, header, rows):
+            Path(tmp, name).write_text(header + "".join(f"\n{a!r},{b!r}" for a, b in rows) + "\n")
+            return str(Path(tmp, name))
+
+        mode = request[0]
+        if mode == "--flux":
+            argv = ["phase", f"--flux={request[1]!r}", f"--flux-quantum={request[2]!r}"]
+        elif mode == "--curve":
+            argv = ["fringes", "--curve", csv("c.csv", "coord,value", request[1]),
+                    "--reference", csv("r.csv", "coord,value", request[2])]
+        else:
+            paths = [csv(f"{i}.csv", "t,value", rows) for i, rows in enumerate(request[1:3])]
+            argv = ["phase", mode, *paths, f"--scale={request[3]!r}"]
+        assert run(*argv) in (0, 2, 4)
 
 
 # ---------------------------------------------------------------- fringes

@@ -686,11 +686,11 @@ def test_widened_grid_budget_counts_80_bytes_a_point(monkeypatch):
     # byte below it before psi is sampled
     params, x_grid = normalized_params(alpha=6.0), Grid1D(min=-12.0, max=12.0, n=512)
     monkeypatch.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2288)
-    assert wigslits.numeric._propagated_density(params, x_grid).shape == (512,)
+    assert wigslits.numeric._widened_grid(params, x_grid)[0].n == 2288
     monkeypatch.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2288 - 1)
     monkeypatch.setattr(wigslits.numeric, "sample_wavefunction", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match=r"needs 2288 points .* for d=5\.0, x0=1\.0, alpha=6\.0$"):
-        wigslits.numeric._propagated_density(params, x_grid)
+        wigslits.numeric._widened_grid(params, x_grid)
 
 
 # ---------------------------------------------------------------- marginals
