@@ -10,7 +10,9 @@ trailing ".0" for 1e-4 <= |v| < 1e16, otherwise d.ddde±XX, and -0.0 keeps
 its sign. Subnormals, infinities and NaN go through repr itself: the JDK
 forms differ there (``4.9E-324`` against ``5e-324``).
 
-Each value's text fills fixed slots of a row, NUL where unused, and one
+``csv_rows`` cuts the flattened grid into blocks of BLOCK cells. Each
+value's text fills fixed slots of a row, NUL where unused, after its
+coordinates' text (each axis point's repr, formatted once), and one
 compaction of a block of rows gives the bytes. The arithmetic runs on uint64
 arrays of a block's size and wraps where the algorithm wants it; numpy
 scalars would warn on the wrapping products, so constants are 0-d arrays.
@@ -36,7 +38,7 @@ BLOCK = 2048
 # e, the exponent's sign and 3 digits (NUL-padded), then the row's end, in
 # word 6. Fraction slots 3-19 hold the fraction's digits zero-padded to 17,
 # and slots 0-2 the '0's of 0.000ddd.
-_END = 8 * 6 + 5  # the byte of the row's end: a newline, or a label's comma
+_END = 8 * 6 + 5  # the byte of the row's end, a newline
 
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0  # of a float64
 _K_MIN, _K_MAX = -324, 292  # the powers 10^-k that doubles need
@@ -98,7 +100,7 @@ def _build_tables():
     g = [_g(k) for k in range(_K_MIN, _K_MAX + 1)]
     g = np.array([[x >> 63 for x in g], [x & ((1 << 63) - 1) for x in g]], dtype=np.uint64)
     # "0000".."9999" as the low half of little-endian words
-    i = np.arange(10000)
+    i = np.arange(10000, dtype=np.uint16)
     quads = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8) + ord("0")
     quads = quads.view("<u4").reshape(-1).astype(np.uint64)
     pow10 = np.array([10 ** min(m, 19) for m in range(21)], dtype=np.uint64)
@@ -294,47 +296,33 @@ def _render(values: np.ndarray, words: np.ndarray) -> None:
         words.view(np.uint8)[at] = row
 
 
-def _layout(rows: int, lead: int) -> tuple:
-    """A zeroed row buffer with ``lead`` bytes before each value's text, and the text's words."""
-    at = lead + (7 - lead) % 8  # the sign byte, the top byte of a word
-    buf = np.zeros((rows, at + 1 + 48), dtype=np.uint8)
-    return buf, buf.view("<u8")[:, at // 8:]
-
-
 def _labels(axis: np.ndarray) -> np.ndarray:
-    """Each point's text and a comma, NUL-padded to the widest."""
-    points = np.ascontiguousarray(axis, dtype=np.float64)
-    buf, words = _layout(points.size, 0)
-    for i in range(0, points.size, BLOCK):
-        _render(points[i:i + BLOCK], words[i:i + BLOCK])
-    buf[:, _END] = ord(",")
-    return buf[:, buf.any(axis=0)]
+    """Each point's repr and a comma, NUL-padded to the widest, as rows of bytes."""
+    texts = np.array([f"{v!r},".encode() for v in np.asarray(axis, dtype=np.float64).tolist()])
+    return texts.view(np.uint8).reshape(texts.size, -1)
 
 
 def csv_rows(values: np.ndarray, axes: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     """The CSV text "a,v\\n" (one axis) or "a,b,v\\n" (two axes) of ``values`` over the axes.
 
     Rows run over the product of the axes, the first slowest, and come as
-    uint8 arrays of at most BLOCK rows; each axis point is formatted once.
+    uint8 arrays of exactly BLOCK rows, the last shorter, whatever the
+    grid's shape; each axis point is formatted once.
     """
-    *outer, inner = axes
-    grid = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, inner.size)
+    shape = tuple(axis.size for axis in axes)
+    cells = np.ascontiguousarray(values, dtype=np.float64).reshape(shape).reshape(-1)
     labels = [_labels(axis) for axis in axes]
-    inner_text, outer_width = labels[-1], sum(lab.shape[1] for lab in labels[:-1])
-    lead = outer_width + inner_text.shape[1]
-    # a block is whole grid rows where they fit, else part of one
-    parts = -(-inner.size // BLOCK)
-    span = -(-inner.size // parts)
-    lines = min(max(BLOCK // inner.size, 1), grid.shape[0])
-    buf, words = _layout(lines * span, lead)
-    for i in range(0, grid.shape[0], lines):
-        for j in range(0, inner.size, span):
-            block = grid[i:i + lines, j:j + span]
-            size = block.size
-            tiles = buf[:size].reshape(block.shape + (-1,))
-            if outer:
-                tiles[:, :, :outer_width] = labels[0][i:i + lines, None]
-            tiles[:, :, outer_width:lead] = inner_text[j:j + span]
-            _render(block.reshape(-1), words[:size])
-            rows = buf[:size]
-            yield rows[rows != 0]
+    lead = sum(label.shape[1] for label in labels)
+    at = lead + (7 - lead) % 8  # the sign byte, the top byte of a word
+    buf = np.zeros((min(cells.size, BLOCK), at + 1 + 48), dtype=np.uint8)
+    words = buf.view("<u8")[:, at // 8:]
+    for start in range(0, cells.size, BLOCK):
+        block = cells[start:start + BLOCK]
+        rows = buf[:block.size]
+        # each row's coordinates, gathered by the cell's index along each axis
+        column = 0
+        for label, index in zip(labels, np.unravel_index(np.arange(start, start + block.size), shape)):
+            np.take(label, index, axis=0, out=rows[:, column:column + label.shape[1]])
+            column += label.shape[1]
+        _render(block, words[:block.size])
+        yield rows[rows != 0]

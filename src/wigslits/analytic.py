@@ -274,7 +274,10 @@ def phase_from_flux(flux: FluxSpec) -> float:
 def _pulse_phase(path1: PulseSeries, path2: PulseSeries, scale: float) -> float:
     scale = _require_finite("scale", scale)
     integral1, integral2 = path1.integral(), path2.integral()
-    delta = scale * (integral1 - integral2)
+    difference = integral1 - integral2
+    # two finite integrals can differ by more than the float range while the
+    # phase does not: then each integral is scaled before the difference
+    delta = scale * difference if math.isfinite(difference) else scale * integral1 - scale * integral2
     if not math.isfinite(delta):
         raise ValueError(f"phase overflows for scale {scale!r} and pulse integrals {integral1!r}, {integral2!r}")
     return delta

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -193,6 +194,7 @@ def test_simulate_marginal_csv_bytes_match_row_by_row_reference(tmp_path):
 AWKWARD = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308, 9.999999999999999e-05,
            1e-4, -1e-5, 1e15, 1e16, 1e17, 2.0**53, 2.0**-1074 * 3, 2.0**-30, -(2.0**60), 0.5,
            1.7976931348623157e308]
+BLOCK = _floattext.BLOCK
 
 
 def test_write_csv_bytes_on_awkward_values(tmp_path):
@@ -213,30 +215,42 @@ def test_write_csv_bytes_on_awkward_values(tmp_path):
     assert (tmp_path / "curve.csv").read_bytes() == expected.encode()
 
 
-def test_write_csv_bytes_on_rows_longer_than_a_block(tmp_path):
-    # an inner axis longer than a block: each grid row is cut into equal parts
-    # of at most BLOCK cells, and the rows still come out whole and in order
-    n_p = 2 * _floattext.BLOCK + 5
+@pytest.mark.parametrize(
+    "shape",
+    [(3, BLOCK - 1), (3, BLOCK), (3, BLOCK + 1), (3, 2 * BLOCK + 5), (BLOCK + 1,)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_write_csv_bytes_on_rows_longer_than_a_block(tmp_path, shape):
+    # blocks are BLOCK consecutive cells of the flattened grid, so unless the
+    # inner axis divides BLOCK a block starts or ends mid-row: AWKWARD values
+    # sit on both sides of every block edge, and the rows still come out whole
+    # and in order with their coordinates
     rng = np.random.default_rng(11)
-    xs = np.array(AWKWARD[-3:])
-    ps = rng.integers(0, 2**64, n_p, dtype=np.uint64).view(np.float64)
-    ps[: len(AWKWARD)] = AWKWARD
-    field = rng.integers(0, 2**64, (3, n_p), dtype=np.uint64).view(np.float64)
-    field[0, : len(AWKWARD)] = AWKWARD
-    field[2, -len(AWKWARD):] = AWKWARD
-    _write_csv(tmp_path / "field.csv", "x,p,w", field, xs, ps)
-    expected = "x,p,w\n" + "".join(
-        f"{x!r},{p!r},{w!r}\n" for x, row in zip(xs.tolist(), field.tolist()) for p, w in zip(ps.tolist(), row)
+    axes = [rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64) for n in shape]
+    axes[0][: len(AWKWARD[-3:])] = AWKWARD[-3:]
+    axes[-1][: len(AWKWARD)] = AWKWARD
+    axes[-1][-len(AWKWARD):] = AWKWARD
+    values = rng.integers(0, 2**64, shape, dtype=np.uint64).view(np.float64)
+    cells = values.reshape(-1)
+    for edge in range(BLOCK, cells.size, BLOCK):
+        window = cells[edge - len(AWKWARD):edge + len(AWKWARD)]
+        window[:] = (AWKWARD + AWKWARD[::-1])[: window.size]
+    header = "x,p,w" if len(shape) == 2 else "coord,value"
+    _write_csv(tmp_path / "out.csv", header, values, *axes)
+    rows = itertools.product(*(axis.tolist() for axis in axes))
+    expected = header + "\n" + "".join(
+        ",".join(repr(v) for v in (*coords, w)) + "\n" for coords, w in zip(rows, cells.tolist())
     )
-    assert (tmp_path / "field.csv").read_bytes() == expected.encode()
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
 
-def test_write_csv_holds_no_coordinate_columns(tmp_path):
-    # half of one 512 x 512 float array: the writer formats a fixed block of
-    # cells at a time and never expands the axes into n_x * n_p coordinate columns
-    n = 512
-    xs = Grid1D(min=-12.0, max=12.0, n=n).points()
-    ps = Grid1D(min=-4.0, max=4.0, n=n).points()
+@pytest.mark.parametrize("shape", [(512, 512), (3, 2 * BLOCK + 5)], ids=lambda shape: "x".join(map(str, shape)))
+def test_write_csv_holds_no_coordinate_columns(tmp_path, shape):
+    # at most half of one 512 x 512 float array, whatever the grid's shape: the
+    # writer formats a fixed block of cells at a time and never expands the
+    # axes into n_x * n_p coordinate columns
+    xs = Grid1D(min=-12.0, max=12.0, n=shape[0]).points()
+    ps = Grid1D(min=-4.0, max=4.0, n=shape[1]).points()
     field = wigner_two_slit_propagated(normalized_params(alpha=6.0, delta=4.0), xs[:, None], ps[None, :])
     tracemalloc.start()
     try:
@@ -244,8 +258,8 @@ def test_write_csv_holds_no_coordinate_columns(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert entry["rows"] == n * n
-    assert peak < n * n * 8 / 2
+    assert entry["rows"] == field.size
+    assert peak < 512 * 512 * 8 / 2
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
@@ -852,6 +866,18 @@ def test_phase_rejects_non_finite_input(tmp_path, capsys, argv):
     }
     assert run("phase", *(a.format(**files) for a in argv)) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mode", ["--electric", "--neutron"])
+def test_phase_from_integrals_whose_difference_overflows(tmp_path, capsys, mode):
+    # 1e308 - (-1e308) is past the float range, the phase 1e-300 * 2e308 is not
+    high = _pulse_file(tmp_path / "high.csv", [(0.0, 1e308), (1.0, 1e308)])
+    low = _pulse_file(tmp_path / "low.csv", [(0.0, -1e308), (1.0, -1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first, second, phase in ((high, low, "200000000"), (low, high, "-200000000")):
+            assert run("phase", mode, first, second, "--scale=1e-300") == 0
+            assert capsys.readouterr() == (phase + "\n", "")
 
 
 def test_phase_flag_validation(tmp_path, capsys):
