@@ -50,6 +50,10 @@ _MIN_PROMINENCE = 0.05
 # are used as they are.
 _RANGE_EXPONENT = 200
 
+# Candidate peaks whose bases _prominent_peaks seeks together: its
+# temporaries hold this many rows of the curve's length.
+_PEAK_CHUNK = 64
+
 # Support level of the pattern interval, as a fraction of each curve's max: a
 # single-slit projection exp(-(u/w)^2) counts within three widths w of its center.
 _PATTERN_LEVEL = math.exp(-9)
@@ -111,30 +115,35 @@ def _prominent_peaks(values: np.ndarray, floor: float) -> List[int]:
     """
     x = np.asarray(values, dtype=float)
     n = x.size
-    # Runs of equal samples [first, last]; a run is a peak when both
-    # neighbours lie strictly below it.
-    first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    last = np.r_[first[1:] - 1, n - 1]
-    inner = (first > 0) & (last < n - 1)
-    first, last = first[inner], last[inner]
-    rises = (x[first - 1] < x[first]) & (x[last + 1] < x[last])
-    lowest = x.min()
-    out = []
-    for lo, hi in zip(first[rises].tolist(), last[rises].tolist()):
-        top = x[lo]
-        # The prominence is at most top - lowest (rounding is monotone), so
-        # this skips peaks that cannot reach the floor, such as roundoff
-        # ripples in the tails, without scanning for their bases.
-        if top - lowest < floor:
-            continue
-        above_left = np.flatnonzero(x[:lo] > top)
-        above_right = np.flatnonzero(x[hi + 1 :] > top)
-        start = above_left[-1] + 1 if above_left.size else 0
-        stop = hi + 1 + above_right[0] if above_right.size else n
-        base = max(x[start:lo].min(), x[hi + 1 : stop].min())
-        if top - base >= floor:
-            out.append((lo + hi) // 2)
-    return out
+    # Steps between runs of equal samples; the run [lo, hi] between two steps
+    # is a peak when the step into it rises and the step out of it falls.
+    step = np.diff(x)
+    edges = np.flatnonzero(step)
+    rises = step[edges] > 0
+    peak = rises[:-1] & ~rises[1:]
+    lo, hi = edges[:-1][peak] + 1, edges[1:][peak]
+    # The prominence is at most top - lowest (rounding is monotone), so this
+    # drops peaks that cannot reach the floor, such as roundoff ripples in
+    # the tails, before their bases are sought.
+    top = x[lo]
+    keep = top - x.min() >= floor
+    lo, hi, top = lo[keep], hi[keep], top[keep]
+    # Each base reaches from the peak to the nearest sample above its top on
+    # that side, exclusive, or to the end: a chunk of peaks at a time, on the
+    # curve between +inf sentinels (padded[j + 1] = x[j]).
+    padded = np.concatenate(([np.inf], x, [np.inf]))
+    cols = np.arange(n + 2)
+    start, stop = np.empty_like(lo), np.empty_like(lo)
+    for c in range(0, lo.size, _PEAK_CHUNK):
+        chunk = slice(c, c + _PEAK_CHUNK)
+        above = padded > top[chunk, None]
+        start[chunk] = n + 1 - np.argmax((above & (cols <= lo[chunk, None]))[:, ::-1], axis=1)
+        stop[chunk] = np.argmax(above & (cols > hi[chunk, None] + 1), axis=1) - 1
+    # the minima of x[start:lo] and x[hi + 1:stop], both non-empty; the
+    # segments reduceat forms between them go unused
+    minima = np.minimum.reduceat(padded[1:], np.column_stack([start, lo, hi + 1, stop]).ravel())
+    base = np.maximum(minima[0::4], minima[2::4])
+    return ((lo + hi) // 2)[top - base >= floor].tolist()
 
 
 def _bounded_minimum(func: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -68,6 +67,10 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> str:
     ``path``, so the result gets the permissions the umask gives a plain
     ``open()`` (0644 under umask 022).
     """
+    # imported here: hashlib loads OpenSSL (~3.6 MiB, 3-5 ms in a fresh
+    # process), and only simulate and fringes --out write files
+    import hashlib
+
     digest = hashlib.sha256()
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)

@@ -41,8 +41,10 @@ DEFAULT_EDGE_DECAY_TOL = 1e-10
 
 # Allowed gap between the x-integral of a field and |phibar(p)|^2, relative to
 # its peak. Correct fields on the standard window read ~1e-12 at n >= 256; a
-# flipped kernel sign reads >= 0.7 unless delta is a multiple of pi.
-_MARGINAL_TOL = 1e-2
+# flipped kernel sign reads >= 0.7 unless delta is a multiple of pi, and an x
+# grid too coarse for psi (dx ~ x0) reads 1e-3 to 1e-2, about as far as its
+# field is off the closed form.
+_MARGINAL_TOL = 1e-6
 
 # Negative dip a field marginal may show, relative to its peak, before the
 # field counts as invalid. It absorbs the ~1e-8 artifact of truncating the
@@ -166,28 +168,27 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
     The lag lattice halves the usable bandwidth: every requested momentum
     must satisfy |p| <= pi hbar / (2 dx). At every p, the x-integral of W
     must match |phibar(p)|^2 from the independent momentum transform (which
-    applies the same edge check) to 1e-2 of its peak; otherwise the kernel
+    applies the same edge check) to 1e-6 of its peak; otherwise the kernel
     sign is wrong or the x grid too coarse, and ConventionViolationError is
     raised.
 
-    The conjugate lag products are kept x-major, as one complex n x L array
-    (L = ceil(n/2) rounded up to whole ``_TABLE_SPLIT`` rows, the padded
-    lags zero), read from two sliding windows of the zero-padded samples.
-    The field is formed for one fixed-size block of p at a time; no dense
-    n x n_p kernel is built. With k = K s + r (s = ``_TABLE_SPLIT``) and
-    theta = 2 dx p/hbar, the block's kernel exp(i k theta) is the product
+    Lags run to L = ceil(n/2), rounded up to whole ``_TABLE_SPLIT`` rows
+    (the padded lags zero), and are read from two sliding windows of the
+    zero-padded samples. The field is formed for one fixed-size block of p
+    at a time; no dense n x n_p kernel is built. With k = K s + r (s =
+    ``_TABLE_SPLIT``) and theta = 2 dx p/hbar, the block's kernel exp(i k theta) is the product
     of a coarse phase table (K s, L/s rows) and a fine one (r, s rows),
     written into one complex buffer allocated once per call. Viewed as
     floats, the lag products (scaled by 4 dx) hold (Re g, -Im g) pairs and
     the kernel (cos, sin) pairs, so the block of W is a real matrix
     product. Row i reaches only lags k <= min(i, n - 1 - i), so x is cut
-    into ``_ROW_BANDS`` row bands, and each band multiplies a row-slice
-    view of the one lag-product array, up to the largest lag its rows
-    reach, by the matching columns of the kernel's float view; nothing is
-    copied per band, and bands without rows are skipped. Besides the
-    returned field and the lag products the scratch is O(n * block).
-    Fixed-order matrix products over fixed bands and blocks make repeated
-    runs bit-identical.
+    into ``_ROW_BANDS`` row bands. For each block, each band's conjugate lag
+    products, up to the largest lag its rows reach, are formed in one buffer
+    of the largest band's size and multiplied by the matching columns of the
+    kernel's float view; bands without rows are skipped. No n x L array of
+    lag products is held: besides the returned field the scratch is
+    O(n * block + n L / ``_ROW_BANDS``). Fixed-order matrix products over
+    fixed bands and blocks make repeated runs bit-identical.
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
@@ -213,16 +214,15 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
     behind = sliding_window_view(padded, n_lags)[1 : n + 1, ::-1]  # psi(x_i - k dx)
     scaled = (4 * dx) * padded.conj()  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
     ahead = sliding_window_view(scaled, n_lags)[n_lags : n_lags + n]  # 4 dx conj(psi(x_i + k dx))
-    lag_products = behind * ahead  # conj(g), so that its float view pairs (Re g, -Im g)
-    lag_products[:, 0] *= 0.5
-    lag_floats = lag_products.view(float)
-    # row i reaches lags k <= min(i, n - 1 - i): each band's float columns up to its reach
+    # row i reaches lags k <= min(i, n - 1 - i): each band's lags up to its reach
     edges = [b * n // _ROW_BANDS for b in range(_ROW_BANDS + 1)]
     bands = [
-        (slice(lo, hi), 2 * (min(hi - 1, n - 1 - lo, (n - 1) // 2) + 1))
+        (slice(lo, hi), min(hi - 1, n - 1 - lo, (n - 1) // 2) + 1)
         for lo, hi in zip(edges, edges[1:])
         if lo < hi
     ]
+    # one band's lag products at a time, in a buffer of the largest band's size
+    lag_buffer = np.empty(max((band.stop - band.start) * reach for band, reach in bands), dtype=complex)
 
     coarse_lags = 2 * dx * np.arange(0, n_lags, _TABLE_SPLIT)
     fine_lags = 2 * dx * np.arange(_TABLE_SPLIT)
@@ -237,7 +237,11 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
         np.multiply(coarse[:, :, None], fine[:, None, :], out=kernel_b)
         kernel_floats = kernel_b.reshape(b, n_lags).view(float)
         for band, reach in bands:  # BLAS writes each strided view of w in place
-            np.matmul(lag_floats[band, :reach], kernel_floats[:, :reach].T, out=w[band, block])
+            # conj(g), so that its float view pairs (Re g, -Im g)
+            lag_products = lag_buffer[: (band.stop - band.start) * reach].reshape(-1, reach)
+            np.multiply(behind[band, :reach], ahead[band, :reach], out=lag_products)
+            lag_products[:, 0] *= 0.5
+            np.matmul(lag_products.view(float), kernel_floats[:, : 2 * reach].T, out=w[band, block])
 
     density = np.abs(phibar) ** 2
     peak = density.max()

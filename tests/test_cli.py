@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -35,6 +37,7 @@ import wigslits.cli
 import wigslits.numeric
 from wigslits import _floattext
 from wigslits.cli import _write_atomic, _write_csv, main
+from test_floattext import sweep
 from test_numeric import _traced_peak_bytes
 
 SMALL = ["--nx", "64", "--np", "64"]
@@ -53,14 +56,14 @@ def test_console_entry_points():
         assert "simulate" in proc.stdout
 
 
-def _fresh_process_modules(calls, prefix):
-    # run cli.main on each argv in a fresh interpreter; the loaded modules under prefix
+def _fresh_process_modules(calls, *prefixes):
+    # run cli.main on each argv in a fresh interpreter; the loaded modules under any of prefixes
     script = (
         "import sys\n"
         "import wigslits\n"
         "from wigslits import cli\n"
         + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in calls)
-        + f"print(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))\n"
+        + f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {prefixes!r})))\n"
     )
     src = str(Path(wigslits.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -73,6 +76,13 @@ def test_commands_do_not_import_scipy():
     # scipy is only the tests' reference; importing it costs ~1 s and ~75 MB
     calls = [["fringes", "--axis", "momentum"], ["phase", "--flux", "1", "--flux-quantum", "2"]]
     assert _fresh_process_modules(calls, "scipy") == "[]"
+
+
+def test_commands_writing_to_stdout_do_not_load_openssl():
+    # hashlib loads OpenSSL's _hashlib (~3.6 MiB); only written files are hashed
+    calls = [["phase", "--flux", "1", "--flux-quantum", "2"], ["fringes", "--axis", "momentum"],
+             ["fringes", "--axis", "position"]]
+    assert _fresh_process_modules(calls, "hashlib", "_hashlib") == "[]"
 
 
 def test_fringes_does_not_import_numpy_ma():
@@ -384,6 +394,15 @@ def test_simulate_numeric_undersampled_grid_exit_code(tmp_path, capsys):
     assert "phibar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0, width, nx", [("0.3", "40", "64"), ("0.5", "24", "48")])
+def test_simulate_numeric_field_off_the_closed_form_exit_code(tmp_path, capsys, x0, width, nx):
+    # dx = 1.27 x0 and 1.02 x0: the x-integrals miss |phibar(p)|^2 by 6.5e-3 and
+    # 1.0e-3 of peak, past 1e-6; the first field is 8.4e-3 off the closed form
+    window = ["--xmin", f"-{width}", "--xmax", width, "--nx", nx, "--pmin", f"-{x0}", "--pmax", x0, "--np", "33"]
+    argv = ["--engine", "numeric", "--x0", x0, "--d", "5", "--delta", "4", *window, "--out", str(tmp_path)]
+    assert run("simulate", *argv) == 3 and "phibar" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -560,6 +579,28 @@ _COMMANDS = [
 ]
 
 
+def _exits_cleanly(argv, codes, draw=""):
+    # cli.main returns one of codes, with no exception and no floating-point
+    # warning on the way; its output is discarded. draw names a sweep's draw
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(out):
+        warnings.simplefilter("error")
+        try:
+            code = run(*argv)
+        except (Exception, SystemExit) as exc:
+            raise AssertionError(f"{draw}wigslits {' '.join(argv)} raised {exc!r}") from exc
+    assert code in codes, f"{draw}wigslits {' '.join(argv)} gave {code!r}"
+
+
+def _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, budget=80 * 2**16, draw=""):
+    # any finite slit pair is computed or refused with exit 2, 3 or 4; the
+    # widened grid's budget is 5 MiB, so no tier-1 draw allocates much memory
+    argv = [*command, "--x0", repr(x0), "--d", repr(d), "--hbar", repr(hbar), "--alpha", repr(alpha),
+            "--delta", repr(delta), "--nx", "33", "--np", "17"]
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", budget)
+        _exits_cleanly(argv + (["--out", out] if command[0] == "simulate" else []), (0, 2, 3, 4), draw)
+
+
 @settings(max_examples=200, deadline=None)
 @example(  # the comb phase p * d / hbar overflowed in momentum_marginal
     command=_COMMANDS[2], x0=2.215340208846029e-33, d=1.1821988896555594e220, hbar=3.692833194127074e92,
@@ -578,16 +619,41 @@ _COMMANDS = [
     delta=st.floats(0, 2 * math.pi),
 )
 def test_every_finite_request_exits_cleanly(command, x0, d, hbar, alpha, delta):
-    # any finite slit pair is computed or refused with an exit code, never a
-    # traceback or a floating-point warning on the way. The numeric engine's
-    # widened grid gets a 5 MiB budget, so no draw allocates much memory (the
-    # CI domain sweep runs at the real budget)
-    argv = [*command, "--x0", repr(x0), "--d", repr(d), "--hbar", repr(hbar), "--alpha", repr(alpha),
-            "--delta", repr(delta), "--nx", "33", "--np", "17"]
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2**16)
-        warnings.simplefilter("error")
-        assert run(*argv, *(["--out", out] if command[0] == "simulate" else [])) in (0, 2, 3, 4)
+    _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta)
+
+
+def test_random_finite_requests_exit_cleanly():
+    # x0, d and hbar log-uniform on [1e-300, 1e300], alpha 0 in 20 % of draws
+    # and log-uniform otherwise, delta uniform on [0, 2 pi); the commands
+    # cycle. CI draws 20,000 at the real budget
+    seed, (count, budget) = sweep((200, 80 * 2**16), (20_000, wigslits.numeric._WIDE_GRID_BUDGET))
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        x0, d, hbar, alpha = (10.0 ** rng.uniform(-300, 300, 4)).tolist()
+        alpha = 0.0 if rng.random() < 0.2 else alpha
+        delta = float(rng.uniform(0, 2 * math.pi))
+        _slit_pair_exits_cleanly(_COMMANDS[i % 4], x0, d, hbar, alpha, delta, budget, f"draw {i}, seed {seed}: ")
+
+
+def _file_input_exits_cleanly(request, draw=""):
+    # pulse files, flux pairs and curve files of finite numbers are computed
+    # or refused with exit 2 or 4; the scale is passed as --scale=<value>,
+    # since argparse reads -1e-05 as a flag
+    with tempfile.TemporaryDirectory() as tmp:
+        def csv(name, header, rows):
+            Path(tmp, name).write_text(header + "".join(f"\n{a!r},{b!r}" for a, b in rows) + "\n")
+            return str(Path(tmp, name))
+
+        mode = request[0]
+        if mode == "--flux":
+            argv = ["phase", f"--flux={request[1]!r}", f"--flux-quantum={request[2]!r}"]
+        elif mode == "--curve":
+            argv = ["fringes", "--curve", csv("c.csv", "coord,value", request[1]),
+                    "--reference", csv("r.csv", "coord,value", request[2])]
+        else:
+            paths = [csv(f"{i}.csv", "t,value", rows) for i, rows in enumerate(request[1:3])]
+            argv = ["phase", mode, *paths, f"--scale={request[3]!r}"]
+        _exits_cleanly(argv, (0, 2, 4), draw)
 
 
 _SIGNED_LOG_UNIFORM = st.tuples(st.booleans(), _LOG_UNIFORM).map(lambda pick: -pick[1] if pick[0] else pick[1])
@@ -611,27 +677,38 @@ _FILE_REQUESTS = st.one_of(
 @example(request=("--curve", [(-1e308, 1.0), (1e308, 2.0)], [(-1e308, 1.0), (1e308, 2.0)]))
 @given(request=_FILE_REQUESTS)
 def test_every_finite_file_input_exits_cleanly(request):
-    # pulse files, flux pairs and curve files of finite numbers are computed
-    # or refused with an exit code, never a traceback or a floating-point
-    # warning on the way; the scale is passed as --scale=<value>, since
-    # argparse reads -1e-05 as a flag
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("error")
+    _file_input_exits_cleanly(request)
 
-        def csv(name, header, rows):
-            Path(tmp, name).write_text(header + "".join(f"\n{a!r},{b!r}" for a, b in rows) + "\n")
-            return str(Path(tmp, name))
 
-        mode = request[0]
+def test_random_finite_file_inputs_exit_cleanly():
+    # the modes cycle. Pulse files: 2-6 rows of ascending signed times and
+    # signed values, log-uniform in magnitude on [1e-300, 1e300] like the flux,
+    # its quantum and the scale. Curve files: 3-12 rows at lo + i*step, lo
+    # signed and step > 0 log-uniform, values log-uniform or (20 %) zero
+    seed, count = sweep(100, 5_000)  # CI draws 5,000
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(size=None, signed=True):
+        values = 10.0 ** rng.uniform(-300, 300, size) * (rng.choice([-1.0, 1.0], size) if signed else 1.0)
+        return values.tolist() if size else float(values)
+
+    def pulse(n):
+        return list(zip(sorted(log_uniform(n)), log_uniform(n)))
+
+    def curve(lo, step, n):
+        values = np.where(rng.random(n) < 0.2, 0.0, log_uniform(n, signed=False))
+        return list(zip((lo + np.arange(n) * step).tolist(), values.tolist()))
+
+    for i in range(count):
+        mode = ["--electric", "--neutron", "--flux", "--curve"][i % 4]
         if mode == "--flux":
-            argv = ["phase", f"--flux={request[1]!r}", f"--flux-quantum={request[2]!r}"]
+            request = (mode, log_uniform(), log_uniform())
         elif mode == "--curve":
-            argv = ["fringes", "--curve", csv("c.csv", "coord,value", request[1]),
-                    "--reference", csv("r.csv", "coord,value", request[2])]
+            lo, step = log_uniform(), log_uniform(signed=False)
+            request = (mode, *[curve(lo, step, int(rng.integers(3, 13))) for _ in range(2)])
         else:
-            paths = [csv(f"{i}.csv", "t,value", rows) for i, rows in enumerate(request[1:3])]
-            argv = ["phase", mode, *paths, f"--scale={request[3]!r}"]
-        assert run(*argv) in (0, 2, 4)
+            request = (mode, *[pulse(int(rng.integers(2, 7))) for _ in range(2)], log_uniform())
+        _file_input_exits_cleanly(request, f"draw {i}, seed {seed}: ")
 
 
 # ---------------------------------------------------------------- fringes

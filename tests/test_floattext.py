@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -10,15 +12,23 @@ from wigslits import _floattext
 from wigslits._floattext import csv_rows
 
 
-def _rows(values):
-    # each value as both the coordinate and the value of a curve row: the
-    # axis-label path and the block path
+def sweep(tier1, ci):
+    """(seed, size) of a seeded sweep: GITHUB_RUN_NUMBER, which GitHub Actions sets, and
+    ``ci``, so CI draws anew each run; without it, 0 and the smaller ``tier1``."""
+    run_number = os.environ.get("GITHUB_RUN_NUMBER")
+    return (int(run_number), ci) if run_number else (0, tier1)
+
+
+def _repr_mismatch(values, axes=None):
+    # None when csv_rows prints values over the product of axes (by default
+    # each value is its own coordinate, a curve) as repr does, else the first row that differs
     values = np.asarray(values, dtype=np.float64)
-    return b"".join(bytes(chunk) for chunk in csv_rows(values, (values,)))
-
-
-def _reference(values):
-    return "".join(f"{v!r},{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+    axes = (values,) if axes is None else axes
+    got = b"".join(bytes(chunk) for chunk in csv_rows(values, axes)).decode().split("\n")
+    rows = zip(itertools.product(*(axis.tolist() for axis in axes)), values.ravel().tolist())
+    want = [",".join(map(repr, (*coords, value))) for coords, value in rows] + [""]
+    row = next((i for i, (a, b) in enumerate(itertools.zip_longest(got, want)) if a != b), None)
+    return None if row is None else f"row {row} is {got[row : row + 1]}, repr gives {want[row : row + 1]}"
 
 
 def _powers_and_neighbours(powers):
@@ -33,7 +43,7 @@ def test_powers_of_two_and_ten_with_neighbours():
     twos = _powers_and_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
     tens = _powers_and_neighbours([float(f"1e{e}") for e in range(-323, 309)])
     for values in (twos, tens):
-        assert _rows(values) == _reference(values)
+        assert _repr_mismatch(values) is None
 
 
 def test_layout_edges_and_special_values():
@@ -43,30 +53,40 @@ def test_layout_edges_and_special_values():
         -sys.float_info.max, math.inf, -math.inf, math.nan, 0.1, 0.5, 123456.789, 9999999999999998.0,
         1234567890123456.8, 0.000123, 1.5e300,
     ]
-    assert _rows(values) == _reference(values)
+    assert _repr_mismatch(values) is None
 
 
 def test_a_curve_longer_than_a_block():
-    # the rows split into equal parts of one long row, the labels into
-    # blocks with a short last one
+    # random bit patterns over two full blocks and a short last one
     rng = np.random.default_rng(7)
     values = rng.integers(0, 2**64, 2 * _floattext.BLOCK + 17, dtype=np.uint64).view(np.float64)
-    assert _rows(values) == _reference(values)
+    assert _repr_mismatch(values) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=300))
 def test_raw_bit_patterns_match_repr(patterns):
     # finite, subnormal, +-0.0, +-inf and NaN alike
-    values = np.array(patterns, dtype=np.uint64).view(np.float64)
-    assert _rows(values) == _reference(values)
+    assert _repr_mismatch(np.array(patterns, dtype=np.uint64).view(np.float64)) is None
+
+
+def test_random_bit_patterns_match_repr_in_field_layouts():
+    # random 64-bit patterns as fields over axes drawn from them: square, then
+    # with an inner axis longer than a block and no multiple of it, so blocks
+    # start mid-row. CI draws 10^6, the second layout taking the first 996,057
+    seed, layouts = sweep(((100, 100), (3, 4099)), ((1000, 1000), (243, 4099)))
+    count = max(n_x * n_p for n_x, n_p in layouts)
+    values = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
+    for n_x, n_p in layouts:
+        field, axes = values[: n_x * n_p].reshape(n_x, n_p), (values[:n_x], values[-n_p:])
+        assert (mismatch := _repr_mismatch(field, axes)) is None, f"seed {seed}, {n_x} x {n_p}: {mismatch}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=100))
 def test_float_draws_match_repr(values):
     # hypothesis favours short decimals, integers and boundary values
-    assert _rows(values) == _reference(values)
+    assert _repr_mismatch(values) is None
 
 
 def test_floor_logarithms_are_exact_over_their_range():
