@@ -99,6 +99,10 @@ _FLOORS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), st.flo
 @given(values=_PEAK_INPUTS, floor=_FLOORS)
 # Both peaks have prominence 2: each base scan must pass the other, equal peak.
 @example(values=[0, 2, 1, 2, 0], floor=1.5)
+# Over one chunk of base searches: equal peaks, bases across chunks, random.
+@example(values=[0.0, 1.0] * 100 + [0.0], floor=0.5)
+@example(values=[v for i in range(150) for v in (i, i + 2)], floor=1.0)
+@example(values=np.random.default_rng(0).normal(size=400).round(1).tolist(), floor=1.0)
 def test_prominent_peaks_match_scipy_find_peaks(values, floor):
     x = np.asarray(values, dtype=float)
     assert _prominent_peaks(x, floor) == list(find_peaks(x, prominence=floor)[0])

@@ -37,7 +37,7 @@ import wigslits.cli
 import wigslits.numeric
 from wigslits import _floattext
 from wigslits.cli import _write_atomic, _write_csv, main
-from test_floattext import sweep
+from sweeps import sweep
 from test_numeric import _traced_peak_bytes
 
 SMALL = ["--nx", "64", "--np", "64"]

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -10,13 +9,7 @@ from hypothesis import strategies as st
 
 from wigslits import _floattext
 from wigslits._floattext import csv_rows
-
-
-def sweep(tier1, ci):
-    """(seed, size) of a seeded sweep: GITHUB_RUN_NUMBER, which GitHub Actions sets, and
-    ``ci``, so CI draws anew each run; without it, 0 and the smaller ``tier1``."""
-    run_number = os.environ.get("GITHUB_RUN_NUMBER")
-    return (int(run_number), ci) if run_number else (0, tier1)
+from sweeps import sweep
 
 
 def _repr_mismatch(values, axes=None):

@@ -279,23 +279,19 @@ def test_phase_tables_match_dense_formula(n):
     # sample counts (momentum tables) and lag counts ceil(n/2) (Wigner
     # tables) below, at and past the table split, and one past a multiple;
     # the last two are no multiple of the row bands, so their reaches
-    # differ, and the largest reaches angles of ~500 rad. Wide slits (x0 =
-    # 1.6) and p to 0.6 of the bandwidth keep 31 points unaliased (6e-9)
-    x_grid = Grid1D(min=-12.0, max=12.0, n=n)
-    bandwidth = math.pi / (2 * x_grid.spacing)
-    p_grid = Grid1D(min=-0.6 * bandwidth, max=0.6 * bandwidth, n=97)
-    psi = sample_wavefunction(SlitPairParams(x0=1.6, d=1.0, delta=4.0), x_grid)
-    _assert_transforms_match_dense_formula(psi, p_grid, 1.0)
-
-
-@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1])
-def test_aliased_lag_lattice_is_refused(n):
-    # x0 = 1 and p to 0.9 of the bandwidth: aliased by 5e-3 to 9e-3 of peak
+    # differ, and the largest reaches angles of ~700 rad. About the split
+    # x0 = 1 aliases the lag lattice (5e-3 to 9e-3 of peak) and is refused;
+    # wide slits (x0 = 1.6) and p to 0.6 of the bandwidth are resolved there
     x_grid = Grid1D(min=-12.0, max=12.0, n=n)
     bandwidth = math.pi / (2 * x_grid.spacing)
     p_grid = Grid1D(min=-0.9 * bandwidth, max=0.9 * bandwidth, n=97)
-    with pytest.raises(ConventionViolationError, match="x grid too coarse"):
-        wigner_transform(sample_wavefunction(normalized_params(delta=4.0), x_grid), p_grid, 1.0)
+    psi = sample_wavefunction(normalized_params(delta=4.0), x_grid)
+    if n <= SPLIT + 1:
+        with pytest.raises(ConventionViolationError, match="x grid too coarse"):
+            wigner_transform(psi, p_grid, 1.0)
+        p_grid = Grid1D(min=-0.6 * bandwidth, max=0.6 * bandwidth, n=97)
+        psi = sample_wavefunction(SlitPairParams(x0=1.6, d=1.0, delta=4.0), x_grid)
+    _assert_transforms_match_dense_formula(psi, p_grid, 1.0)
 
 
 def test_row_bands_outnumbering_rows_are_skipped(monkeypatch):
