@@ -302,12 +302,12 @@ def _labels(axis: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(texts.size, -1)
 
 
-def csv_rows(values: np.ndarray, axes: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """The CSV text "a,v\\n" (one axis) or "a,b,v\\n" (two axes) of ``values`` over the axes.
+def csv_rows(values: np.ndarray, axes: Sequence[np.ndarray], scale: float = 1.0) -> Iterator[np.ndarray]:
+    """The CSV text "a,v\\n" (one axis) or "a,b,v\\n" (two axes) of ``scale * values`` over the axes.
 
     Rows run over the product of the axes, the first slowest, and come as
     uint8 arrays of exactly BLOCK rows, the last shorter, whatever the
-    grid's shape; each axis point is formatted once.
+    grid's shape; each axis point is formatted once, each block scaled once.
     """
     shape = tuple(axis.size for axis in axes)
     cells = np.ascontiguousarray(values, dtype=np.float64).reshape(shape).reshape(-1)
@@ -317,7 +317,8 @@ def csv_rows(values: np.ndarray, axes: Sequence[np.ndarray]) -> Iterator[np.ndar
     buf = np.zeros((min(cells.size, BLOCK), at + 1 + 48), dtype=np.uint8)
     words = buf.view("<u8")[:, at // 8:]
     for start in range(0, cells.size, BLOCK):
-        block = cells[start:start + BLOCK]
+        with np.errstate(invalid="ignore"):  # a signalling NaN is quieted, and prints as "nan" either way
+            block = cells[start:start + BLOCK] * scale
         rows = buf[:block.size]
         # each row's coordinates, gathered by the cell's index along each axis
         column = 0

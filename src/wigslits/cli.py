@@ -5,9 +5,10 @@ The CLI parses arguments, writes files and maps errors to exit codes:
 :func:`wigslits.numeric.simulate`, and writes what it returns; ``fringes``
 loads or samples two curves and writes :func:`wigslits.analysis.fringe_report`.
 
-All file coordinates are normalized (X = x/x0, P = p*x0/hbar), so the output
-axes match the dimensionless plotting convention regardless of the unit
-system; physics is computed in raw units internally.
+Every request runs on the paper's dimensionless scenario (x0 = hbar = 1,
+D = d/x0, A = alpha*hbar/x0**2) on the file coordinates X = x/x0 and P =
+p*x0/hbar. Raw units enter only as prefactors: ``simulate`` writes the field
+times x0 and the momentum density times x0**2; ``fringes`` needs none.
 
 Exit codes: 0 ok, 2 usage/parse error, 3 numerical guard tripped,
 4 fringe analysis failure.
@@ -45,7 +46,7 @@ from .analytic import (
     single_slit_marginal,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
-from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams
+from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams, _unit_scenario
 from .numeric import DEFAULT_EDGE_DECAY_TOL
 
 # not called here: perfbench/selftest.py checks that the benchmark's tracer
@@ -88,13 +89,12 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: str, values: np.ndarray, *axes: np.ndarray) -> dict:
-    # one row per sample of values over the product of axes (a curve's axis, or
-    # x then p): coordinates first, the first axis slowest. Shortest round-trip
-    # decimals keep files byte-reproducible and let a reader recover the exact
-    # floats. Returns the manifest entry.
+def _write_csv(path: Path, header: str, values: np.ndarray, *axes: np.ndarray, scale: float = 1.0) -> dict:
+    # one row per sample of scale * values over the product of axes (a curve's axis, or x then p),
+    # coordinates first, the first axis slowest; shortest round-trip decimals keep files
+    # byte-reproducible and give a reader the exact floats. Returns the manifest entry.
     values = values.reshape(tuple(axis.size for axis in axes))  # raises unless the axes span values
-    chunks = itertools.chain([f"{header}\n".encode()], _floattext.csv_rows(values, axes))
+    chunks = itertools.chain([f"{header}\n".encode()], _floattext.csv_rows(values, axes, scale))
     return {"path": path.name, "sha256": _write_atomic(path, chunks), "rows": values.size}
 
 
@@ -130,26 +130,8 @@ def _params_from_args(args) -> SlitPairParams:
     return SlitPairParams(x0=args.x0, d=args.d, delta=args.delta, hbar=args.hbar, alpha=args.alpha)
 
 
-def _grids(args, params: SlitPairParams) -> Tuple[Grid1D, Grid1D, Grid1D, Grid1D]:
-    """The flags' normalized x and p axes, then the same lattices in raw units.
-
-    Raises ValueError, naming the scale (x0 or hbar/x0), where it takes a
-    valid normalized window, or its width, past the float range, or
-    collapses it.
-    """
-    x_norm = Grid1D(min=args.xmin, max=args.xmax, n=args.nx)
-    p_norm = Grid1D(min=args.pmin, max=args.pmax, n=args.n_p)
-    raw = []
-    for axis, name, scale in ((x_norm, "x0", params.x0), (p_norm, "hbar/x0", params.hbar / params.x0)):
-        lo, hi = axis.min * scale, axis.max * scale
-        if not (lo < hi and math.isfinite(hi - lo)):  # also refuses an infinite or NaN end
-            raise ValueError(
-                f"scale {name} = {scale!r} takes the normalized window [{axis.min!r}, {axis.max!r}] to "
-                f"[{lo!r}, {hi!r}], not a window with min < max and a finite width, "
-                f"for x0={params.x0!r}, hbar={params.hbar!r}"
-            )
-        raw.append(Grid1D(min=lo, max=hi, n=axis.n))
-    return (x_norm, p_norm, *raw)
+def _grids(args) -> Tuple[Grid1D, Grid1D]:  # the flags' normalized x and p axes
+    return Grid1D(min=args.xmin, max=args.xmax, n=args.nx), Grid1D(min=args.pmin, max=args.pmax, n=args.n_p)
 
 
 # ---------------------------------------------------------------- simulate
@@ -157,20 +139,21 @@ def _grids(args, params: SlitPairParams) -> Tuple[Grid1D, Grid1D, Grid1D, Grid1D
 
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    x_norm, p_norm, x_raw, p_raw = _grids(args, params)
-    grid = Grid2D(x_raw, p_raw)
-    if args.engine == "analytic":
-        field, x_density, p_density = analytic.simulate(params, grid)
-    else:
-        field, x_density, p_density = numeric.simulate(params, grid)
+    unit, square = _unit_scenario(params), params.x0 * params.x0
+    # the written momentum density is x0**2 times the unit one, which peaks at 8 pi
+    if not (sys.float_info.min <= square and 8 * math.pi * square < math.inf):
+        raise ValueError(f"x0**2 = {square!r} and 8*pi*x0**2 must be normal floats, for x0={params.x0!r}")
+    x_axis, p_axis = _grids(args)
+    engine = analytic if args.engine == "analytic" else numeric
+    field, x_density, p_density = engine.simulate(unit, Grid2D(x_axis, p_axis))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    xs, ps = x_norm.points(), p_norm.points()
+    xs, ps = x_axis.points(), p_axis.points()
     files = {
-        "wigner": _write_csv(out / "wigner.csv", "x,p,w", field.values, xs, ps),
+        "wigner": _write_csv(out / "wigner.csv", "x,p,w", field.values, xs, ps, scale=params.x0),
         "xmarginal": _write_csv(out / "xmarginal.csv", "coord,value", x_density, xs),
-        "pmarginal": _write_csv(out / "pmarginal.csv", "coord,value", p_density, ps),
+        "pmarginal": _write_csv(out / "pmarginal.csv", "coord,value", p_density, ps, scale=square),
     }
 
     manifest = {
@@ -178,15 +161,8 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "engine": args.engine,
         "params": dataclasses.asdict(params),
-        "grid": {
-            "coordinates": "normalized: X = x/x0, P = p*x0/hbar",
-            "xmin": x_norm.min,
-            "xmax": x_norm.max,
-            "nx": x_norm.n,
-            "pmin": p_norm.min,
-            "pmax": p_norm.max,
-            "np": p_norm.n,
-        },
+        "grid": {"coordinates": "normalized: X = x/x0, P = p*x0/hbar", "xmin": x_axis.min, "xmax": x_axis.max,
+                 "nx": x_axis.n, "pmin": p_axis.min, "pmax": p_axis.max, "np": p_axis.n},
         "edge_tol": DEFAULT_EDGE_DECAY_TOL,
         "files": files,
     }
@@ -199,23 +175,20 @@ def cmd_simulate(args) -> int:
 
 
 def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Optional[Tuple[float, float]]]:
-    params = _params_from_args(args)
+    params = _unit_scenario(_params_from_args(args))
     reference_params = dataclasses.replace(params, delta=args.ref_delta)
-    x_norm, p_norm, x_raw, p_raw = _grids(args, params)
-
-    # curves carry normalized coordinates so reports match the CSV files
-    if args.axis == "momentum":
-        norm_axis, raw_pts, marginal = p_norm, p_raw.points(), momentum_marginal
-    else:
-        norm_axis, raw_pts, marginal = x_norm, x_raw.points(), position_marginal_propagated
+    x_axis, p_axis = _grids(args)
+    # a report reads levels relative to each curve's peak: the unit curves need no prefactor
+    axis, density = (p_axis, momentum_marginal) if args.axis == "momentum" else (x_axis, position_marginal_propagated)
+    coords = axis.points()
 
     def curve(values: np.ndarray) -> MarginalCurve:
-        return MarginalCurve(axis_label=args.axis, grid=norm_axis, values=values)
+        return MarginalCurve(axis_label=args.axis, grid=axis, values=values)
 
     # the pattern lies where both single-slit projections carry weight
-    slit1, slit2 = (curve(single_slit_marginal(params, args.axis, raw_pts, s)) for s in (1, -1))
+    slit1, slit2 = (curve(single_slit_marginal(params, args.axis, coords, s)) for s in (1, -1))
     interval = common_support_interval(slit1, slit2)
-    return curve(marginal(params, raw_pts)), curve(marginal(reference_params, raw_pts)), interval
+    return curve(density(params, coords)), curve(density(reference_params, coords)), interval
 
 
 def cmd_fringes(args) -> int:
@@ -329,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AnalysisError as exc:
         print(f"wigslits: analysis failure: {exc}", file=sys.stderr)
         return _EXIT_ANALYSIS
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: numpy's message sizes the array
         print(f"wigslits: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

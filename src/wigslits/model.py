@@ -75,6 +75,24 @@ def normalized_params(alpha: float = 0.0, delta: float = 0.0) -> SlitPairParams:
     return SlitPairParams(x0=1.0, d=5.0, delta=delta, hbar=1.0, alpha=alpha)
 
 
+def _unit_scenario(params: SlitPairParams) -> SlitPairParams:
+    """The slit pair in the paper's units: x0 = hbar = 1, d = D = d/x0 and alpha = A = alpha*hbar/x0**2.
+
+    On X = x/x0 and P = p*x0/hbar its Wigner field and momentum density are
+    the raw ones over x0 and x0**2, and its position density the raw one. D
+    is one quotient and A is formed from mantissas and exponents, so neither
+    leaves the float range part-way. Raises ValueError unless both are finite, with D > 0.
+    """
+    (m_x0, e_x0), (m_h, e_h), (m_a, e_a) = map(math.frexp, (params.x0, params.hbar, params.alpha))
+    d = params.d / params.x0
+    with np.errstate(over="ignore"):  # past the float range is inf, refused below
+        alpha = float(np.ldexp(m_a * m_h / m_x0 / m_x0, e_a + e_h - 2 * e_x0))
+    if not (0 < d < math.inf and alpha < math.inf):
+        raise ValueError(f"D = d/x0 = {d!r} and A = alpha*hbar/x0**2 = {alpha!r} must be finite, with D > 0, "
+                         f"for x0={params.x0!r}, d={params.d!r}, alpha={params.alpha!r}, hbar={params.hbar!r}")
+    return SlitPairParams(x0=1.0, d=d, delta=params.delta, hbar=1.0, alpha=alpha)
+
+
 def propagated_width(params: SlitPairParams) -> float:
     """Width of each slit envelope after free flight.
 

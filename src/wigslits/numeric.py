@@ -56,11 +56,11 @@ _NEG_TOL = 1e-7
 # O(n * _P_BLOCK) whatever n_p is, and a fixed block keeps reruns bit-identical.
 _P_BLOCK = 256
 
-# Memory that free flight of the position density may take on its widened
-# grid, counted as 80 bytes a point: the traced peak is 72-75, the sampler's
-# and the FFT's complex temporaries. 1 GiB admits ~13 million points, against
-# the 2,288 that the default grid widens to at alpha = 6.
-_WIDE_GRID_BUDGET = 2**30
+# Scratch a step of the numeric engine may take, sized before it is allocated: the
+# Wigner transform's lag band and kernel, and the position density's free flight at
+# 80 bytes a widened-grid point (its traced peak is 72-75). 1 GiB admits a transform
+# of n <= 31,756 and ~13 million flight points (the default grid widens to 2,288 at alpha = 6).
+_SCRATCH_BUDGET = 2**30
 
 # Row split of the transforms' phase tables: index j = J * _TABLE_SPLIT + r,
 # and exp(i j phi) = exp(i J * _TABLE_SPLIT * phi) * exp(i r phi), so a block
@@ -186,9 +186,10 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
     products, up to the largest lag its rows reach, are formed in one buffer
     of the largest band's size and multiplied by the matching columns of the
     kernel's float view; bands without rows are skipped. No n x L array of
-    lag products is held: besides the returned field the scratch is
-    O(n * block + n L / ``_ROW_BANDS``). Fixed-order matrix products over
-    fixed bands and blocks make repeated runs bit-identical.
+    lag products is held: the band buffer and the kernel, 16 bytes a cell,
+    are sized first and refused with a ValueError stating the bytes above
+    ``_SCRATCH_BUDGET``. Fixed-order matrix products over fixed bands and
+    blocks make repeated runs bit-identical.
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
@@ -204,16 +205,8 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
             f"bandwidth pi*hbar/(2*dx) = {p_bound:g}; refine the x grid"
         )
 
-    # the guard's reference first, while no n x n_p array is held yet
-    phibar = momentum_wavefunction(psi, p_grid, hbar)
-
     rows = -(-((n + 1) // 2) // _TABLE_SPLIT)  # lags k >= n/2 leave the grid on every row
     n_lags = rows * _TABLE_SPLIT
-    padded = np.zeros(n + 2 * n_lags, dtype=complex)
-    padded[n_lags : n_lags + n] = psi.values
-    behind = sliding_window_view(padded, n_lags)[1 : n + 1, ::-1]  # psi(x_i - k dx)
-    scaled = (4 * dx) * padded.conj()  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
-    ahead = sliding_window_view(scaled, n_lags)[n_lags : n_lags + n]  # 4 dx conj(psi(x_i + k dx))
     # row i reaches lags k <= min(i, n - 1 - i): each band's lags up to its reach
     edges = [b * n // _ROW_BANDS for b in range(_ROW_BANDS + 1)]
     bands = [
@@ -221,13 +214,27 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
         for lo, hi in zip(edges, edges[1:])
         if lo < hi
     ]
-    # one band's lag products at a time, in a buffer of the largest band's size
-    lag_buffer = np.empty(max((band.stop - band.start) * reach for band, reach in bands), dtype=complex)
+    # one band's lag products at a time, in a buffer of the largest band's size,
+    # and a flat kernel viewed per block at its width so every view is contiguous
+    band_cells = max((band.stop - band.start) * reach for band, reach in bands)
+    kernel_cells = min(p.size, _P_BLOCK) * n_lags
+    if 16 * (band_cells + kernel_cells) > _SCRATCH_BUDGET:
+        raise ValueError(f"Wigner transform needs {16 * (band_cells + kernel_cells)} bytes for its lag band and "
+                         f"kernel on {n} x points and {p.size} momenta, against a budget of {_SCRATCH_BUDGET}")
+
+    # the guard's reference first, while no n x n_p array is held yet
+    phibar = momentum_wavefunction(psi, p_grid, hbar)
+
+    padded = np.zeros(n + 2 * n_lags, dtype=complex)
+    padded[n_lags : n_lags + n] = psi.values
+    behind = sliding_window_view(padded, n_lags)[1 : n + 1, ::-1]  # psi(x_i - k dx)
+    scaled = (4 * dx) * padded.conj()  # W = 4 dx (g_0/2 + sum_k Re g_k e^{i k theta})
+    ahead = sliding_window_view(scaled, n_lags)[n_lags : n_lags + n]  # 4 dx conj(psi(x_i + k dx))
+    lag_buffer = np.empty(band_cells, dtype=complex)
 
     coarse_lags = 2 * dx * np.arange(0, n_lags, _TABLE_SPLIT)
     fine_lags = 2 * dx * np.arange(_TABLE_SPLIT)
-    # flat scratch, viewed per block at its width so every view is contiguous
-    kernel = np.empty(min(p.size, _P_BLOCK) * n_lags, dtype=complex)
+    kernel = np.empty(kernel_cells, dtype=complex)
     w = np.empty((n, p.size))
     for start in range(0, p.size, _P_BLOCK):
         block = slice(start, start + _P_BLOCK)
@@ -296,7 +303,7 @@ def _widened_grid(params: SlitPairParams, x_grid: Grid1D) -> Tuple[Grid1D, int]:
     The window usually cannot hold the spread packet, so it is extended by
     whole steps (the requested points stay on the lattice) to d + 8 max(X,
     x0), X the propagated width, on both sides. A widened grid over
-    ``_WIDE_GRID_BUDGET`` bytes, at 80 a point, is refused with a ValueError;
+    ``_SCRATCH_BUDGET`` bytes, at 80 a point, is refused with a ValueError;
     a step count past the float range counts as over budget.
     """
     h = x_grid.spacing
@@ -304,11 +311,11 @@ def _widened_grid(params: SlitPairParams, x_grid: Grid1D) -> Tuple[Grid1D, int]:
     reach = params.d + 8.0 * max(width, params.x0)
     m_lo, m_hi = (max(0.0, float(np.ceil(m))) for m in ((reach + x_grid.min) / h, (reach - x_grid.max) / h))
     points = x_grid.n + m_lo + m_hi  # a float: a count past its range prints as inf
-    if 80 * points > _WIDE_GRID_BUDGET:
+    if 80 * points > _SCRATCH_BUDGET:
         raise ValueError(
             f"free flight of the position density needs {points:.4g} points on a grid widened to reach "
             f"{reach!r} on each side (propagated width {width!r}, hbar={params.hbar!r}), "
-            f"~{80 * points:.3g} bytes against a budget of {_WIDE_GRID_BUDGET}, "
+            f"~{80 * points:.3g} bytes against a budget of {_SCRATCH_BUDGET}, "
             f"for d={params.d!r}, x0={params.x0!r}, alpha={params.alpha!r}"
         )
     n_wide, m_lo = int(points), int(m_lo)

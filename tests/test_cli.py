@@ -310,6 +310,17 @@ def test_simulate_analytic_holds_about_one_field(tmp_path):
     assert peak <= 2 * 512 * 512 * 8
 
 
+def test_simulate_scales_the_field_as_it_writes(tmp_path):
+    # at x0 = 2 the field written is x0 times the unit scenario's, scaled a
+    # block of cells at a time by the writer: still about one field held
+    argv = ["simulate", "--d", "10", "--x0", "2", "--delta", "4", "--alpha", "24", "--out", str(tmp_path)]
+    assert run(*argv) == 0
+    codes = []
+    peak = _traced_peak_bytes(lambda: codes.append(run(*argv)))
+    assert codes == [0]
+    assert peak <= 2 * 512 * 512 * 8
+
+
 def test_simulate_analytic_values_match_closed_form(tmp_path):
     assert run("simulate", "--d", "5", "--delta", "4", "--out", str(tmp_path), *SMALL) == 0
     rows = (tmp_path / "wigner.csv").read_text().splitlines()[1:]
@@ -403,34 +414,80 @@ def test_simulate_numeric_field_off_the_closed_form_exit_code(tmp_path, capsys, 
     assert run("simulate", *argv) == 3 and "phibar" in capsys.readouterr().err
 
 
+def _captured(argv):
+    # (exit code, stdout, stderr) of one call, with floating-point warnings as errors
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error")
+        code = run(*argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _csv_floats(path):
+    # a written CSV's rows as floats: shortest round-trip text parses back to the exact values
+    return np.array([[float(v) for v in row.split(",")] for row in path.read_text().splitlines()[1:]])
+
+
+def _matches_unit_scenario(argv, tmp, d=None, alpha=None):
+    """Exit code of ``argv``, a simulate or parameter-mode fringes request, which must match the unit scenario's.
+
+    The unit scenario is the request at x0 = hbar = 1 with d = D and alpha = A,
+    by default d/x0 and alpha*hbar/x0**2 of the request's flags. Both give the
+    same exit code, stdout and stderr; simulate writes the same coordinates and
+    position density, and exactly x0 and x0**2 times the unit field and
+    momentum density.
+    """
+    args = wigslits.cli.build_parser().parse_args(argv)
+    d = args.d / args.x0 if d is None else d
+    alpha = args.alpha * args.hbar / args.x0 / args.x0 if alpha is None else alpha
+    unit = [*argv, "--x0", "1", "--hbar", "1", "--d", repr(d), "--alpha", repr(alpha)]
+    dirs = [Path(tmp, "raw"), Path(tmp, "unit")]
+    if argv[0] == "simulate":
+        argv, unit = ([*request, "--out", str(out)] for request, out in zip((argv, unit), dirs))
+    result = _captured(argv)
+    assert result == _captured(unit), f"wigslits {' '.join(argv)}"
+    if argv[0] == "simulate" and result[0] == 0:
+        for name, scale in (("wigner.csv", args.x0), ("xmarginal.csv", 1.0), ("pmarginal.csv", args.x0 * args.x0)):
+            raw, unit_rows = (_csv_floats(out / name) for out in dirs)
+            np.testing.assert_array_equal(raw[:, :-1], unit_rows[:, :-1])
+            np.testing.assert_array_equal(raw[:, -1], unit_rows[:, -1] * scale)
+    return result[0]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, scale",
     [
-        ["simulate", "--d", "5", "--hbar", "1e300"],
-        ["simulate", "--d", "5", "--alpha", "2e154"],
-        ["simulate", "--d", "5", "--x0", "1e-300"],
-        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300"],
-        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e160"],
-        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-20", "--alpha", "6"],
-        ["fringes", "--axis", "position", "--alpha", "1e300"],
-        ["simulate", *WIDTH_SQUARE_OVERFLOWS],
-        ["fringes", "--axis", "position", *WIDTH_SQUARE_OVERFLOWS],
-        ["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-150", "--alpha", "6"],
+        (["simulate", "--d", "5", "--hbar", "1e300"], None),
+        (["simulate", "--d", "5", "--alpha", "2e154"], "propagated width inf"),
+        (["simulate", "--d", "5", "--x0", "1e-300"], "x0**2 = 0.0"),
+        (["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300"], "x0**2 = 0.0"),
+        (["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e160"], "x0**2 = inf"),
+        (["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-20", "--alpha", "6"],
+         "A = alpha*hbar/x0**2 = inf"),
+        (["fringes", "--axis", "position", "--alpha", "1e300"], "propagated width inf"),
+        (["simulate", *WIDTH_SQUARE_OVERFLOWS], "A = alpha*hbar/x0**2 = inf"),
+        (["fringes", "--axis", "position", *WIDTH_SQUARE_OVERFLOWS], "A = alpha*hbar/x0**2 = inf"),
+        (["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-150", "--alpha", "6"],
+         "A = alpha*hbar/x0**2 = inf"),
     ],
     ids=["simulate-hbar", "simulate-alpha", "simulate-x0", "simulate-numeric-x0-tiny",
          "simulate-numeric-x0-huge", "simulate-numeric-widening", "fringes-position-alpha",
          "simulate-width-square", "fringes-position-width-square", "simulate-numeric-step-count"],
 )
-def test_extreme_slit_pair_width_is_a_usage_error(tmp_path, capsys, argv):
-    # finite parameters whose propagated width overflows or vanishes, whose
-    # finite width has a square that overflows (6e280 for the widening and
-    # width-square cases), or (step-count) whose width of 6e150 is too many
-    # grid steps wide: refused by name, not an OverflowError or
-    # ZeroDivisionError traceback; the numeric engine refuses before psi is
-    # sampled, where x0**2 would under- or overflow
+def test_extreme_slit_pair_width_is_a_usage_error(tmp_path, capsys, argv, scale):
+    # finite slit pairs whose raw propagated width overflows, vanishes or
+    # squares past the float range. On the unit scenario a request is refused
+    # by name for the dimensionless scale out of range: A itself, or the
+    # propagated width sqrt(A**2 + 1) of a finite A. simulate also refuses an
+    # x0 whose prefactors x0**2 and 8 pi x0**2 leave the normal floats, before
+    # psi is sampled. hbar = 1e300 alone (simulate-hbar) leaves D = 5 and A = 0,
+    # and is answered as the unit scenario
+    if scale is None:
+        assert _matches_unit_scenario([*argv, "--nx", "33", "--np", "17"], tmp_path) == 0
+        return
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert "propagated width" in err and all(name in err for name in ("x0=", "alpha=", "hbar="))
+    assert scale in err and "x0=" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -439,73 +496,74 @@ def test_fringes_momentum_axis_needs_no_propagated_width(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, scale",
     [
-        ["--x0", "1e160"],
-        ["--x0", "1e160", "--d", "1e-300", "--hbar", "1e-20"],
-        ["--x0", "1e-300"],
-        ["--x0", "3e153"],
+        (["--x0", "1e160"], None),
+        (["--x0", "1e160", "--d", "1e-300", "--hbar", "1e-20"], "D = d/x0 = 0.0"),
+        (["--x0", "1e-300"], None),
+        (["--x0", "3e153"], None),
     ],
     ids=["x0-huge", "x0-huge-hbar-tiny", "x0-tiny", "pair-prefactor"],
 )
-def test_fringes_momentum_prefactor_out_of_range_is_a_usage_error(capsys, argv):
-    # x0^2 overflows or underflows to 0, or (pair-prefactor) the single slit's
-    # 2 pi x0^2 is finite but the pair's 8 pi x0^2 is not: refused by name, not
-    # an OverflowError traceback, a non-finite marginal or an analysis failure
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run("fringes", "--axis", "momentum", *argv) == 2
-    err = capsys.readouterr().err
-    assert "momentum prefactor" in err and "x0=" in err
+def test_fringes_momentum_prefactor_out_of_range_is_a_usage_error(tmp_path, capsys, argv, scale):
+    # x0**2 overflows or underflows to 0, or (pair-prefactor) the pair's raw
+    # prefactor 8 pi x0**2 does. A report reads the unit scenario's curves,
+    # which need no prefactor, so these are answered as that scenario, unless
+    # (x0-huge-hbar-tiny) D = 1e-300/1e160 underflows to 0: refused by name
+    argv = ["fringes", "--axis", "momentum", *argv]
+    if scale is None:
+        assert _matches_unit_scenario(argv, tmp_path) == 0
+        return
+    code, _, err = _captured(argv)
+    assert code == 2 and scale in err
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, scale",
     [
-        ["simulate", "--d", "2e154"],
-        ["simulate", "--x0", "1e-160", "--d", "1e300", "--hbar", "1e-20", "--alpha", "1e-20"],
-        ["simulate", "--x0", "1e-50", "--d", "1e110"],
-        ["fringes", "--axis", "position", "--d", "2e154"],
-        ["fringes", "--axis", "position", "--alpha", "6", "--d", "2e154"],
-        ["fringes", "--axis", "position", "--x0", "1e-50", "--d", "1e110"],
+        (["simulate", "--d", "2e154"], "squared slit offset d**2 = inf"),
+        (["simulate", "--x0", "1e-160", "--d", "1e300", "--hbar", "1e-20", "--alpha", "1e-20"], "D = d/x0 = inf"),
+        (["simulate", "--x0", "1e-50", "--d", "1e110"], "squared slit offset d**2 = inf"),
+        (["fringes", "--axis", "position", "--d", "2e154"], "squared slit offset d**2 = inf"),
+        (["fringes", "--axis", "position", "--alpha", "6", "--d", "2e154"], "squared slit offset d**2 = inf"),
+        (["fringes", "--axis", "position", "--x0", "1e-50", "--d", "1e110"], "squared slit offset d**2 = inf"),
     ],
     ids=["simulate", "simulate-wide-slits", "simulate-ratio", "fringes", "fringes-alpha", "fringes-ratio"],
 )
-def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv):
-    # the position closed forms square d and d / width: where d**2 overflows,
-    # or (ratio) d / width does with d**2 finite, the request is refused by
-    # name before they square, not an OverflowError traceback or a warning
+def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv, scale):
+    # the position closed forms square d: where the unit scenario's d = D
+    # squares past the float range (D = 1e160 in the ratio cases, whose raw
+    # d / width once overflowed instead), or (wide-slits) D = 1e300/1e-160 is
+    # not a finite float, the request is refused by name, not an
+    # OverflowError traceback or a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(*argv, "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")) == 2
-    assert "slit offset d=" in capsys.readouterr().err
+    assert scale in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["fringes", "--axis", "position"]])
-def test_cross_term_phase_overflow_is_a_usage_error(tmp_path, capsys, command):
-    # d**2, (d / width)**2 and width**2 are finite, but 2 x alpha d hbar
-    # overflows left to right: refused by name, not NaN rows with exit 0
-    # (simulate) or a warning before "non-finite values" (fringes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        argv = ["--alpha", "1e153", "--hbar", "1e-153", "--d", "1e154", "--nx", "33", "--np", "17"]
-        assert run(*command, *argv, "--out", str(tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert "cross-term phase" in err and all(name in err for name in ("alpha=", "d=", "hbar="))
-    assert not (tmp_path / "out").exists()
+def test_cross_term_phase_overflow_is_a_usage_error(tmp_path, command):
+    # the raw cross-term phase 2 x alpha d hbar overflows left to right, but
+    # the unit scenario's, with D = 1e154 and A = 1, is finite: answered as
+    # that scenario, simulate with exit 0 and fringes with the analysis
+    # failure of slits far outside the window
+    argv = [*command, "--alpha", "1e153", "--hbar", "1e-153", "--d", "1e154", "--nx", "33", "--np", "17"]
+    assert _matches_unit_scenario(argv, tmp_path) == (0 if command == ["simulate"] else 4)
 
 
 def test_sheared_gaussian_argument_overflow_is_a_usage_error(tmp_path, capsys):
-    # the propagated width and d pass their rules, but x - alpha p reaches
-    # 2.4e141 against x0 = 1e-160, whose ratio squares past the float range
-    # in the sheared field: refused by name, not overflow warnings with exit 0
+    # x - alpha p reaches 2.4e141 against x0 = 1e-160, whose raw ratio would
+    # square past the float range. The unit scenario's is finite, but the
+    # field written is x0 times its: x0**2 = 1e-320 is not a normal float, so
+    # the request is refused by name before psi is sampled
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         argv = ["--x0", "1e-160", "--d", "1e-300", "--hbar", "1e-20", "--alpha", "6", "--nx", "33", "--np", "17"]
         assert run("simulate", *argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert "sheared Gaussian argument" in err and all(name in err for name in ("x0=", "d=", "alpha=", "hbar="))
+    assert "x0**2 = 1e-320 and 8*pi*x0**2 must be normal floats, for x0=1e-160" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -523,6 +581,43 @@ def test_simulate_numeric_widened_grid_over_budget_is_a_usage_error(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+_NUMPY_OUT_OF_MEMORY = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+
+def _out_of_memory(*args):
+    raise MemoryError(_NUMPY_OUT_OF_MEMORY)
+
+
+def _rows_then_out_of_memory(*args):
+    yield b"-12.0,-4.0,0.0\n"
+    _out_of_memory()
+
+
+@pytest.mark.parametrize("module, name, patch", [
+    (wigslits.analytic, "simulate", _out_of_memory),
+    (_floattext, "csv_rows", _rows_then_out_of_memory),
+], ids=["engine", "writer"])
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, module, name, patch):
+    # numpy's MemoryError states the size it could not allocate: exit 2 with
+    # that message, not a traceback, and no output or temp file left behind
+    # whether the engine or the CSV writer runs out
+    monkeypatch.setattr(module, name, patch)
+    out = tmp_path / "out"
+    assert run("simulate", "--d", "5", *SMALL, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"wigslits: {_NUMPY_OUT_OF_MEMORY}\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_simulate_numeric_refuses_transform_scratch_over_budget(tmp_path, capsys, monkeypatch):
+    # the 64-point transform needs 36,864 bytes of lag band and kernel, the
+    # position density's flight 80 * 70 on its widened grid: one byte under the
+    # first is refused by name after the flight is sized, with nothing written
+    monkeypatch.setattr(wigslits.numeric, "_SCRATCH_BUDGET", 36_863)
+    assert run("simulate", "--engine", "numeric", "--d", "5", *SMALL, "--out", str(tmp_path / "out")) == 2
+    assert "Wigner transform needs 36864 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_numeric_checks_the_bandwidth_before_any_flight(tmp_path, capsys, monkeypatch):
     # 33 points on the default window leave a lag-lattice bandwidth of 2.09
     # against |p| = 4: refused before psi flies on a widened grid of 106,689
@@ -536,38 +631,30 @@ def test_simulate_numeric_checks_the_bandwidth_before_any_flight(tmp_path, capsy
     assert flights == []
 
 
-def test_simulate_numeric_free_flight_phase_overflow_is_a_usage_error(tmp_path, capsys):
-    # the largest FFT momentum of the widened grid, 6.4e183, squares past the
-    # float range: refused by name before the FFT, not an overflow in p**2
-    # followed by "wavefunction contains non-finite values"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        argv = ["--x0", "3.1960429258303572e-43", "--d", "1.1233295459727828e-76",
-                "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "65", "--np", "17"]
-        assert run("simulate", "--engine", "numeric", *argv, "--out", str(tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert "free-flight phase" in err and all(name in err for name in ("hbar=", "spacing", "alpha="))
-    assert not (tmp_path / "out").exists()
+def test_simulate_numeric_free_flight_phase_overflow_is_a_usage_error(tmp_path):
+    # the raw widened grid's largest FFT momentum, 6.4e183, would square past
+    # the float range; the unit scenario's (D = 3.5e-34, A = 0) is ordinary:
+    # answered as that scenario, with the field scaled by x0 = 3.2e-43
+    argv = ["simulate", "--engine", "numeric", "--x0", "3.1960429258303572e-43", "--d", "1.1233295459727828e-76",
+            "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "65", "--np", "17"]
+    assert _matches_unit_scenario(argv, tmp_path) == 0
 
 
 @pytest.mark.parametrize(
-    "argv, scale",
+    "argv",
     [
-        (["--x0", "1e-200", "--hbar", "1e200"], "hbar/x0 = inf"),
-        (["--x0", "1e200", "--hbar", "1e-200"], "hbar/x0 = 0.0"),
-        (["--x0", "1e308"], "x0 = 1e+308"),
-        (["--x0", "1.7527204992081068e-190", "--hbar", "4.127428451816447e+117"], "hbar/x0 = 2.3548697317577173e+307"),
+        ["--x0", "1e-200", "--hbar", "1e200"],
+        ["--x0", "1e200", "--hbar", "1e-200"],
+        ["--x0", "1e308"],
+        ["--x0", "1.7527204992081068e-190", "--hbar", "4.127428451816447e+117"],
     ],
     ids=["p-scale-overflows", "p-scale-underflows", "x-scale-overflows", "p-width-overflows"],
 )
-def test_raw_window_out_of_range_names_its_scale(capsys, argv, scale):
-    # the normalized windows are valid; their raw images overflow, reach
-    # +-9.4e307 with a width past the float range, or (hbar/x0 = 0) collapse
-    # to [-0.0, 0.0]: the scale is named, not the grid's min, its ordering or
-    # a NaN spacing
-    assert run("fringes", "--axis", "momentum", *argv) == 2
-    err = capsys.readouterr().err
-    assert f"scale {scale} takes the normalized window" in err and "x0=" in err and "hbar=" in err
+def test_raw_window_out_of_range_names_its_scale(tmp_path, argv):
+    # valid normalized windows whose raw images would overflow (hbar/x0 or x0
+    # past the float range, or a width of 1.9e308) or collapse (hbar/x0 = 0):
+    # the CLI forms no raw window, so each is answered as the unit scenario
+    assert _matches_unit_scenario(["fringes", "--axis", "momentum", *argv], tmp_path) == 0
 
 
 _LOG_UNIFORM = st.floats(-300, 300).map(lambda exponent: 10.0**exponent)
@@ -582,22 +669,20 @@ _COMMANDS = [
 def _exits_cleanly(argv, codes, draw=""):
     # cli.main returns one of codes, with no exception and no floating-point
     # warning on the way; its output is discarded. draw names a sweep's draw
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(out):
-        warnings.simplefilter("error")
-        try:
-            code = run(*argv)
-        except (Exception, SystemExit) as exc:
-            raise AssertionError(f"{draw}wigslits {' '.join(argv)} raised {exc!r}") from exc
+    try:
+        code = _captured(argv)[0]
+    except (Exception, SystemExit) as exc:
+        raise AssertionError(f"{draw}wigslits {' '.join(argv)} raised {exc!r}") from exc
     assert code in codes, f"{draw}wigslits {' '.join(argv)} gave {code!r}"
 
 
 def _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, budget=80 * 2**16, draw=""):
     # any finite slit pair is computed or refused with exit 2, 3 or 4; the
-    # widened grid's budget is 5 MiB, so no tier-1 draw allocates much memory
+    # numeric engine's scratch budget is 5 MiB, so no tier-1 draw allocates much memory
     argv = [*command, "--x0", repr(x0), "--d", repr(d), "--hbar", repr(hbar), "--alpha", repr(alpha),
             "--delta", repr(delta), "--nx", "33", "--np", "17"]
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", budget)
+        mp.setattr(wigslits.numeric, "_SCRATCH_BUDGET", budget)
         _exits_cleanly(argv + (["--out", out] if command[0] == "simulate" else []), (0, 2, 3, 4), draw)
 
 
@@ -626,13 +711,50 @@ def test_random_finite_requests_exit_cleanly():
     # x0, d and hbar log-uniform on [1e-300, 1e300], alpha 0 in 20 % of draws
     # and log-uniform otherwise, delta uniform on [0, 2 pi); the commands
     # cycle. CI draws 20,000 at the real budget
-    seed, (count, budget) = sweep((200, 80 * 2**16), (20_000, wigslits.numeric._WIDE_GRID_BUDGET))
+    seed, (count, budget) = sweep((200, 80 * 2**16), (20_000, wigslits.numeric._SCRATCH_BUDGET))
     rng = np.random.default_rng(seed)
     for i in range(count):
         x0, d, hbar, alpha = (10.0 ** rng.uniform(-300, 300, 4)).tolist()
         alpha = 0.0 if rng.random() < 0.2 else alpha
         delta = float(rng.uniform(0, 2 * math.pi))
         _slit_pair_exits_cleanly(_COMMANDS[i % 4], x0, d, hbar, alpha, delta, budget, f"draw {i}, seed {seed}: ")
+
+
+def test_random_unit_scale_problems_match_the_unit_scenario():
+    # the paper's problems at any unit scale: D = d/x0 uniform on [2, 6], A =
+    # alpha*hbar/x0**2 on [0, 8] (0 in 20 %), x0 and hbar log-uniform on
+    # [1e-300, 1e300], delta on [0, 2 pi), the commands in turn on a 129**2
+    # grid. Every draw exits cleanly; simulate refuses only an x0 whose
+    # prefactors leave the normal floats, and a draw whose raw d and alpha are
+    # finite is otherwise answered. Every other cycle takes x0 = 2**i and
+    # hbar = 2**j, which scale every value without rounding: there each draw
+    # matches the unit scenario exactly. CI draws 2,000
+    seed, count = sweep(240, 2_000)
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        big_d, big_a = float(rng.uniform(2, 6)), (0.0 if rng.random() < 0.2 else float(rng.uniform(0, 8)))
+        x0, hbar = (10.0 ** rng.uniform(-300, 300, 2)).tolist()
+        delta = float(rng.uniform(0, 2 * math.pi))
+        if i // 4 % 2:
+            x0, hbar = (2.0 ** np.rint(np.log2([x0, hbar]))).tolist()
+        (m_x0, e_x0), (m_h, e_h) = math.frexp(x0), math.frexp(hbar)
+        with np.errstate(over="ignore"):
+            d, alpha = big_d * x0, float(np.ldexp(big_a * m_x0 * m_x0 / m_h, 2 * e_x0 - e_h))
+        argv = [*_COMMANDS[i % 4], "--x0", repr(x0), "--d", repr(d), "--hbar", repr(hbar), "--alpha", repr(alpha),
+                "--delta", repr(delta), "--nx", "129", "--np", "129"]
+        prefactors_normal = sys.float_info.min <= x0 * x0 and 8 * math.pi * x0 * x0 < math.inf
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                if argv[0] == "simulate" and not prefactors_normal:
+                    code, _, err = _captured([*argv, "--out", tmp])
+                    assert code == 2 and ("8*pi*x0**2" in err or not math.isfinite(d * alpha))
+                elif i // 4 % 2:
+                    _matches_unit_scenario(argv, tmp, d / x0, math.ldexp(alpha, e_h - 2 * e_x0 + 1))
+                else:
+                    code = _captured([*argv, "--out", tmp] if argv[0] == "simulate" else argv)[0]
+                    assert code in (0, 3, 4) or (code == 2 and not math.isfinite(d * alpha))
+        except (Exception, SystemExit) as exc:
+            raise AssertionError(f"draw {i}, seed {seed}: wigslits {' '.join(argv)}") from exc
 
 
 def _file_input_exits_cleanly(request, draw=""):

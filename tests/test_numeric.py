@@ -692,12 +692,28 @@ def test_widened_grid_budget_counts_80_bytes_a_point(monkeypatch):
     # density: admitted at a budget of exactly 80 bytes a point, refused one
     # byte below it before psi is sampled
     params, x_grid = normalized_params(alpha=6.0), Grid1D(min=-12.0, max=12.0, n=512)
-    monkeypatch.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2288)
+    monkeypatch.setattr(wigslits.numeric, "_SCRATCH_BUDGET", 80 * 2288)
     assert wigslits.numeric._widened_grid(params, x_grid)[0].n == 2288
-    monkeypatch.setattr(wigslits.numeric, "_WIDE_GRID_BUDGET", 80 * 2288 - 1)
+    monkeypatch.setattr(wigslits.numeric, "_SCRATCH_BUDGET", 80 * 2288 - 1)
     monkeypatch.setattr(wigslits.numeric, "sample_wavefunction", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match=r"needs 2288 points .* for d=5\.0, x0=1\.0, alpha=6\.0$"):
         wigslits.numeric._widened_grid(params, x_grid)
+
+
+def test_wigner_transform_sizes_its_scratch_before_allocating(monkeypatch):
+    # at n = 64 the lags run to L = 32 and the largest of the 8 row bands is 8
+    # rows reaching 32 lags: 16 * (8 * 32 + 64 * 32) = 36,864 bytes of lag
+    # band and kernel for 64 momenta. Admitted at exactly that budget, refused
+    # one byte below it before the momentum transform runs
+    psi = sample_wavefunction(normalized_params(delta=4.0), Grid1D(min=-12.0, max=12.0, n=64))
+    p_grid = Grid1D(min=-4.0, max=4.0, n=64)
+    monkeypatch.setattr(wigslits.numeric, "_SCRATCH_BUDGET", 36_864)
+    field = wigner_transform(psi, p_grid, 1.0)
+    monkeypatch.setattr(wigslits.numeric, "_SCRATCH_BUDGET", 36_863)
+    monkeypatch.setattr(wigslits.numeric, "momentum_wavefunction", None)  # a call would raise TypeError
+    with pytest.raises(ValueError, match=r"^Wigner transform needs 36864 bytes .* against a budget of 36863$"):
+        wigner_transform(psi, p_grid, 1.0)
+    assert field.values.shape == (64, 64)
 
 
 # ---------------------------------------------------------------- marginals
