@@ -14,8 +14,13 @@ Conventions (fixed throughout the package):
 * Free flight over alpha = t/m shears the field: W -> W(x - alpha p, p).
 
 All functions broadcast over numpy array inputs and are pure/thread-safe.
-The sheared closed forms fill one preallocated output a block of leading
-rows at a time, so besides their output they hold O(block) scratch.
+A closed form of the slit pair raises ValueError, naming itself, the
+operation and the slit pair, exactly when a step of its formula leaves the
+float range on the caller's coordinates (``model._float_range``). Underflow
+is not trapped and Python products do not trap, so the momentum densities
+also refuse a prefactor 8 pi x0^2 or 2 pi x0^2 that is 0 or inf. The
+sheared closed forms fill one preallocated output a block of leading rows
+at a time, so besides their output they hold O(block) scratch.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import Grid2D, SlitPairParams, WignerField, _frozen_array, _require_domain, _require_finite
+from .model import Grid2D, SlitPairParams, WignerField, _float_range, _frozen_array, _require_finite, propagated_width
 
 __all__ = [
     "FluxSpec",
@@ -104,6 +109,7 @@ class PulseSeries:
             return math.inf
 
 
+@_float_range
 def wigner_two_slit(params: SlitPairParams, x, p):
     """Wigner field of the Gaussian pair immediately after the slits.
 
@@ -155,6 +161,7 @@ def _sheared(formula, params: SlitPairParams, x, p, *args):
     return out if out.ndim else out[()]
 
 
+@_float_range
 def wigner_two_slit_propagated(params: SlitPairParams, x, p):
     """Wigner field after free flight: the unpropagated field sheared to (x - alpha p, p).
 
@@ -164,6 +171,7 @@ def wigner_two_slit_propagated(params: SlitPairParams, x, p):
     return _sheared(wigner_two_slit, params, x, p)
 
 
+@_float_range
 def wigner_single_slit(params: SlitPairParams, x, p, slit: int = 1):
     """Wigner field of one slit alone (``slit`` = +1 for the slit at +d, -1 at -d)."""
     if slit not in (1, -1):
@@ -175,11 +183,15 @@ def wigner_single_slit(params: SlitPairParams, x, p, slit: int = 1):
     return 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2) * np.exp(-((x - c) / x0) ** 2)
 
 
-def _reach(coords: np.ndarray) -> float:
-    """max|coords|, the reach that :func:`wigslits.model._require_domain` checks a closed form at."""
-    return float(max(coords.max(initial=0.0), -coords.min(initial=0.0)))  # no |coords| temporary
+def _momentum_prefactor(params: SlitPairParams, scale: float) -> float:
+    """scale * pi * x0**2, refused unless it is > 0 and finite; neither its underflow nor its overflow traps."""
+    prefactor = scale * math.pi * params.x0**2
+    if not 0 < prefactor < math.inf:
+        raise ValueError(f"momentum prefactor {scale:g}*pi*x0**2 = {prefactor!r} is out of range for {params!r}")
+    return prefactor
 
 
+@_float_range
 def momentum_marginal(params: SlitPairParams, p):
     """Momentum density |phibar(p)|^2 = 8 pi x0^2 exp(-p^2 x0^2/hbar^2) cos^2(p d/hbar - delta/2).
 
@@ -188,10 +200,10 @@ def momentum_marginal(params: SlitPairParams, p):
     """
     p = np.asarray(p, dtype=float)
     x0, d, hbar, delta = params.x0, params.d, params.hbar, params.delta
-    _require_domain(params, p_reach=_reach(p))
-    return 8 * math.pi * x0**2 * np.exp(-(p * x0 / hbar) ** 2) * np.cos(p * d / hbar - delta / 2) ** 2
+    return _momentum_prefactor(params, 8) * np.exp(-(p * x0 / hbar) ** 2) * np.cos(p * d / hbar - delta / 2) ** 2
 
 
+@_float_range
 def position_marginal_propagated(params: SlitPairParams, x):
     """Position density |phi(x)|^2 after free flight over ``params.alpha``.
 
@@ -201,13 +213,14 @@ def position_marginal_propagated(params: SlitPairParams, x):
     """
     x = np.asarray(x, dtype=float)
     x0, d, hbar, delta, alpha = params.x0, params.d, params.hbar, params.delta, params.alpha
-    big = _require_domain(params, x_reach=_reach(x))
+    big = propagated_width(params)
     slits = np.exp(-((x - d) / big) ** 2) + np.exp(-((x + d) / big) ** 2)
     phase = 2 * x * alpha * d * hbar / (x0**2 * big**2)
     cross = 2 * np.exp(-(x**2 + d**2) / big**2) * np.cos(phase - delta)
     return (x0 / big) * (slits + cross)
 
 
+@_float_range
 def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 1):
     """Projection of one slit's (propagated) Wigner field onto ``axis``.
 
@@ -224,10 +237,9 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
     coords = np.asarray(coords, dtype=float)
     x0 = params.x0
     if axis == "momentum":
-        _require_domain(params, p_reach=_reach(coords))
-        return 2 * math.pi * x0**2 * np.exp(-(coords * x0 / params.hbar) ** 2)
+        return _momentum_prefactor(params, 2) * np.exp(-(coords * x0 / params.hbar) ** 2)
     if axis == "position":
-        big = _require_domain(params, x_reach=_reach(coords))
+        big = propagated_width(params)
         return (x0 / big) * np.exp(-((coords - slit * params.d) / big) ** 2)
     raise ValueError(f"axis must be 'position' or 'momentum', got {axis!r}")
 
@@ -235,12 +247,12 @@ def single_slit_marginal(params: SlitPairParams, axis: str, coords, slit: int = 
 def _sheared_field(formula, params: SlitPairParams, grid: Grid2D, *args) -> WignerField:
     """:func:`_sheared` over the grid's x column and p row, as a field that adopts the one output."""
     x, p = grid.x_axis.points()[:, None], grid.p_axis.points()[None, :]
-    _require_domain(params, _reach(x), _reach(p))
     values = _sheared(formula, params, x, p, *args)
     values.flags.writeable = False  # fresh and unshared: WignerField adopts it uncopied
     return WignerField(grid=grid, values=values)
 
 
+@_float_range
 def two_slit_field(params: SlitPairParams, grid: Grid2D) -> WignerField:
     """Sample the (propagated) two-slit Wigner field on a phase-space grid.
 
@@ -249,6 +261,7 @@ def two_slit_field(params: SlitPairParams, grid: Grid2D) -> WignerField:
     return _sheared_field(wigner_two_slit, params, grid)
 
 
+@_float_range
 def single_slit_field(params: SlitPairParams, grid: Grid2D, slit: int = 1) -> WignerField:
     """Sample one sheared single-slit Wigner field on a phase-space grid.
 

@@ -1,8 +1,9 @@
 """Core value types: slit-pair parameters, sampling grids, and field containers.
 
-This module also owns the parameter domain of the closed forms: the private
-``_require_domain`` is the one range check that every closed form in
-:mod:`wigslits.analytic` runs, scoped to the axes it evaluates.
+This module also owns the float-range rule of the slit pair's formulas: the
+private decorator ``_float_range`` refuses a call to a closed form of
+:mod:`wigslits.analytic` or to the numeric sampler exactly when a step of
+its formula leaves the float range.
 
 All types are immutable after construction (frozen dataclasses; array payloads
 are marked read-only), so instances can be shared freely across threads.
@@ -14,6 +15,7 @@ without a second n x n_p copy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -113,48 +115,25 @@ def propagated_width(params: SlitPairParams) -> float:
     return width
 
 
-def _require_domain(
-    params: SlitPairParams, x_reach: Optional[float] = None, p_reach: Optional[float] = None
-) -> Optional[float]:
-    """Refuse a slit pair for which a closed form leaves the float range out to ``x_reach`` / ``p_reach``.
+def _float_range(formula):
+    """Decorate a formula of the slit pair so that a step leaving the float range refuses the call.
 
-    The reaches are the largest |x| and |p| the caller evaluates. Each scale
-    that the forms on the reached axes build is evaluated at the reach in its
-    formula's own order of operations, which bounds it nearer in: with x, the
-    propagated width (through :func:`propagated_width`), d**2, (d / width)**2
-    and the cross-term phase; with p, the prefactor 8 pi x0**2, which must
-    also be > 0, and the comb phase; with both (the sheared fields), also
-    ((max|x| + alpha max|p| + d) / x0)**2. Raises ValueError naming the
-    scale, x0, d, alpha and hbar; returns the width when x is reached.
+    The formula runs with numpy trapping overflow, invalid operations and
+    division by zero; such a trap, or Python's OverflowError from a float
+    power such as ``x0**2``, becomes a ValueError that names the formula,
+    the operation and the slit pair. Underflow is not trapped: the Gaussian
+    tails underflow to 0 by design. Traps leave every value as it was.
     """
-    x0, d, alpha, hbar = (np.float64(v) for v in (params.x0, params.d, params.alpha, params.hbar))
-    width, scales = None, []  # scales: (name, value, exclusive lower bound)
-    with np.errstate(all="ignore"):
-        if x_reach is not None:
-            width = propagated_width(params)
-            scales += [
-                ("squared slit offset d**2", d**2, -math.inf),
-                ("squared ratio (d / width)**2", (d / width) ** 2, -math.inf),
-                ("cross-term phase 2*x*alpha*d*hbar / (x0**2 * width**2) at max|x|",
-                 2 * x_reach * alpha * d * hbar / (x0**2 * width**2), -math.inf),
-            ]
-        if x_reach is not None and p_reach is not None:
-            scales.append(("sheared Gaussian argument ((max|x| + alpha max|p| + d) / x0)**2",
-                           ((x_reach + alpha * p_reach + d) / x0) ** 2, -math.inf))
-        if p_reach is not None:
-            # the comb phase is p d / hbar in the momentum densities, 2 p d / hbar in the fields
-            comb = p_reach if x_reach is None else 2 * p_reach
-            scales += [
-                ("momentum prefactor 8*pi*x0**2", 8 * math.pi * x0**2, 0.0),
-                (f"comb phase {'' if x_reach is None else '2*'}p*d/hbar at max|p|", comb * d / hbar, -math.inf),
-            ]
-    for name, value, low in scales:
-        if not low < value < math.inf:
-            raise ValueError(
-                f"{name} = {float(value)!r} is out of range, for x0={params.x0!r}, "
-                f"slit offset d={params.d!r}, alpha={params.alpha!r}, hbar={params.hbar!r}"
-            )
-    return width
+
+    @functools.wraps(formula)
+    def guarded(params: SlitPairParams, *args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return formula(params, *args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise ValueError(f"{formula.__name__} leaves the float range ({exc.args[-1]}) for {params!r}") from exc
+
+    return guarded
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SampledWavefunction, SlitPairParams, WignerField
-from .model import _require_finite, propagated_width
+from .model import _float_range, _require_finite, propagated_width
 
 __all__ = [
     "DEFAULT_EDGE_DECAY_TOL",
@@ -102,11 +102,14 @@ def _check_edge_decay(values: np.ndarray, what: str, action: str = "error") -> N
             raise TruncationError(msg)
 
 
+@_float_range
 def sample_wavefunction(params: SlitPairParams, grid: Grid1D) -> SampledWavefunction:
     """Sample the two-slit wavefunction on a grid.
 
     psi(x) = exp(-(x-d)^2 / 2 x0^2) e^{-i delta/2}
            + exp(-(x+d)^2 / 2 x0^2) e^{+i delta/2}
+
+    Raises ValueError where a step of the formula leaves the float range.
     """
     x = grid.points()
     x0, d, delta = params.x0, params.d, params.delta

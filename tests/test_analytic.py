@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,24 @@ def test_closed_forms_in_raw_units():
 
     for p in (0.0, 0.11, -0.3):
         assert momentum_marginal(params, p) == pytest.approx(abs(phibar(p)) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "density, x0, refusal",
+    [
+        (momentum_marginal, 1e-170, "8*pi*x0**2 = 0.0"),
+        (lambda params, p: single_slit_marginal(params, "momentum", p), 1e-170, "2*pi*x0**2 = 0.0"),
+        (momentum_marginal, 3e153, "8*pi*x0**2 = inf"),
+    ],
+    ids=["pair-underflow", "single-slit-underflow", "pair-overflow"],
+)
+def test_momentum_prefactor_out_of_range_is_refused(density, x0, refusal):
+    # x0**2 = 1e-340 underflows to 0, which numpy's traps let pass by design,
+    # and 8 pi * 9e306 overflows in a Python product, which they never see:
+    # the prefactor is checked by name, on the unit window P = p*x0/hbar
+    params = SlitPairParams(x0=x0, d=5 * x0)
+    with pytest.raises(ValueError, match=f"momentum prefactor {re.escape(refusal)} is out of range for SlitPairParams"):
+        density(params, np.linspace(-4.0, 4.0, 9) / x0)
 
 
 # ---------------------------------------------------------------- phase conversions

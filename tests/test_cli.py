@@ -518,28 +518,34 @@ def test_fringes_momentum_prefactor_out_of_range_is_a_usage_error(tmp_path, caps
     assert code == 2 and scale in err
 
 
+_POSITION_OVERFLOW = "leaves the float range (overflow encountered in square) for SlitPairParams(x0=1.0, d="
+
+
 @pytest.mark.parametrize(
-    "argv, scale",
+    "argv, refusal",
     [
-        (["simulate", "--d", "2e154"], "squared slit offset d**2 = inf"),
+        (["simulate", "--d", "2e154"], f"position_marginal_propagated {_POSITION_OVERFLOW}2e+154,"),
         (["simulate", "--x0", "1e-160", "--d", "1e300", "--hbar", "1e-20", "--alpha", "1e-20"], "D = d/x0 = inf"),
-        (["simulate", "--x0", "1e-50", "--d", "1e110"], "squared slit offset d**2 = inf"),
-        (["fringes", "--axis", "position", "--d", "2e154"], "squared slit offset d**2 = inf"),
-        (["fringes", "--axis", "position", "--alpha", "6", "--d", "2e154"], "squared slit offset d**2 = inf"),
-        (["fringes", "--axis", "position", "--x0", "1e-50", "--d", "1e110"], "squared slit offset d**2 = inf"),
+        (["simulate", "--x0", "1e-50", "--d", "1e110"], f"position_marginal_propagated {_POSITION_OVERFLOW}1e+160,"),
+        (["fringes", "--axis", "position", "--d", "2e154"], f"single_slit_marginal {_POSITION_OVERFLOW}2e+154,"),
+        (["fringes", "--axis", "position", "--alpha", "6", "--d", "2e154"],  # (x - D)/W squares in range, d**2 not
+         "position_marginal_propagated leaves the float range (Numerical result out of range) for "
+         "SlitPairParams(x0=1.0, d=2e+154, delta=0.0, hbar=1.0, alpha=6.0)"),
+        (["fringes", "--axis", "position", "--x0", "1e-50", "--d", "1e110"],
+         f"single_slit_marginal {_POSITION_OVERFLOW}1e+160,"),
     ],
     ids=["simulate", "simulate-wide-slits", "simulate-ratio", "fringes", "fringes-alpha", "fringes-ratio"],
 )
-def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv, scale):
-    # the position closed forms square d: where the unit scenario's d = D
-    # squares past the float range (D = 1e160 in the ratio cases, whose raw
-    # d / width once overflowed instead), or (wide-slits) D = 1e300/1e-160 is
-    # not a finite float, the request is refused by name, not an
-    # OverflowError traceback or a warning
+def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv, refusal):
+    # the position closed forms square x - D: where that leaves the float
+    # range for the unit scenario's D (1e160 in the ratio cases, whose raw
+    # d / width once overflowed instead), the first formula to square it is
+    # named, or (wide-slits) D = 1e300/1e-160 is not a finite float; either
+    # is refused, not an OverflowError traceback or a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(*argv, "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")) == 2
-    assert scale in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -676,11 +682,17 @@ def _exits_cleanly(argv, codes, draw=""):
     assert code in codes, f"{draw}wigslits {' '.join(argv)} gave {code!r}"
 
 
-def _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, budget=80 * 2**16, draw=""):
-    # any finite slit pair is computed or refused with exit 2, 3 or 4; the
-    # numeric engine's scratch budget is 5 MiB, so no tier-1 draw allocates much memory
+_DEFAULT_WINDOW = (-12.0, 12.0, -4.0, 4.0)
+
+
+def _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, window, budget=80 * 2**16, draw=""):
+    # any finite slit pair on any finite window (xmin, xmax, pmin, pmax) is
+    # computed or refused with exit 2, 3 or 4; the numeric engine's scratch
+    # budget is 5 MiB, so no tier-1 draw allocates much memory. The window
+    # ends are passed as --xmin=<value>, since argparse reads -1e-05 as a flag
     argv = [*command, "--x0", repr(x0), "--d", repr(d), "--hbar", repr(hbar), "--alpha", repr(alpha),
-            "--delta", repr(delta), "--nx", "33", "--np", "17"]
+            "--delta", repr(delta), "--nx", "33", "--np", "17",
+            *(f"--{flag}={end!r}" for flag, end in zip(("xmin", "xmax", "pmin", "pmax"), window))]
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
         mp.setattr(wigslits.numeric, "_SCRATCH_BUDGET", budget)
         _exits_cleanly(argv + (["--out", out] if command[0] == "simulate" else []), (0, 2, 3, 4), draw)
@@ -689,12 +701,17 @@ def _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, budget=80 * 2**
 @settings(max_examples=200, deadline=None)
 @example(  # the comb phase p * d / hbar overflowed in momentum_marginal
     command=_COMMANDS[2], x0=2.215340208846029e-33, d=1.1821988896555594e220, hbar=3.692833194127074e92,
-    alpha=0.0, delta=0.0,
+    alpha=0.0, delta=0.0, window=_DEFAULT_WINDOW,
 )
 @example(  # a maximum's parabola vertex formed 2 y0 of a density peaking at 9.5e307
     command=_COMMANDS[2], x0=1.9463169741479125e153, d=7.276844326829853e164, hbar=1.6696991699065184e54,
-    alpha=1.3978807150738937e-131, delta=1.3086636502491344,
+    alpha=1.3978807150738937e-131, delta=1.3086636502491344, window=_DEFAULT_WINDOW,
 )
+# (p * x0 / hbar)**2 overflowed in the field's envelope and both momentum forms,
+# ((x - d) / W)**2 in the position forms, each with a warning and exit 0
+@example(command=_COMMANDS[0], x0=1.0, d=5.0, hbar=1.0, alpha=0.0, delta=0.0, window=(-12.0, 12.0, -1e200, 1e200))
+@example(command=_COMMANDS[2], x0=1.0, d=5.0, hbar=1.0, alpha=0.0, delta=0.0, window=(-12.0, 12.0, -1e200, 1e200))
+@example(command=_COMMANDS[3], x0=1.0, d=5.0, hbar=1.0, alpha=0.0, delta=0.0, window=(-1e200, 1e200, -4.0, 4.0))
 @given(
     command=st.sampled_from(_COMMANDS),
     x0=_LOG_UNIFORM,
@@ -702,14 +719,17 @@ def _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, budget=80 * 2**
     hbar=_LOG_UNIFORM,
     alpha=st.tuples(st.integers(0, 4), _LOG_UNIFORM).map(lambda pick: 0.0 if pick[0] == 0 else pick[1]),
     delta=st.floats(0, 2 * math.pi),
+    window=st.tuples(_LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM).map(
+        lambda ends: (-ends[0], ends[1], -ends[2], ends[3])),
 )
-def test_every_finite_request_exits_cleanly(command, x0, d, hbar, alpha, delta):
-    _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta)
+def test_every_finite_request_exits_cleanly(command, x0, d, hbar, alpha, delta, window):
+    _slit_pair_exits_cleanly(command, x0, d, hbar, alpha, delta, window)
 
 
 def test_random_finite_requests_exit_cleanly():
     # x0, d and hbar log-uniform on [1e-300, 1e300], alpha 0 in 20 % of draws
-    # and log-uniform otherwise, delta uniform on [0, 2 pi); the commands
+    # and log-uniform otherwise, delta uniform on [0, 2 pi), and the window
+    # [-a, b] x [-c, e] with a, b, c, e log-uniform like x0; the commands
     # cycle. CI draws 20,000 at the real budget
     seed, (count, budget) = sweep((200, 80 * 2**16), (20_000, wigslits.numeric._SCRATCH_BUDGET))
     rng = np.random.default_rng(seed)
@@ -717,7 +737,9 @@ def test_random_finite_requests_exit_cleanly():
         x0, d, hbar, alpha = (10.0 ** rng.uniform(-300, 300, 4)).tolist()
         alpha = 0.0 if rng.random() < 0.2 else alpha
         delta = float(rng.uniform(0, 2 * math.pi))
-        _slit_pair_exits_cleanly(_COMMANDS[i % 4], x0, d, hbar, alpha, delta, budget, f"draw {i}, seed {seed}: ")
+        window = (10.0 ** rng.uniform(-300, 300, 4) * [-1, 1, -1, 1]).tolist()
+        _slit_pair_exits_cleanly(_COMMANDS[i % 4], x0, d, hbar, alpha, delta, window, budget,
+                                 f"draw {i}, seed {seed}: ")
 
 
 def test_random_unit_scale_problems_match_the_unit_scenario():

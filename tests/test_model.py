@@ -18,7 +18,7 @@ from wigslits import (
     normalized_params,
     propagated_width,
 )
-from wigslits.model import _require_domain
+from wigslits.analytic import momentum_marginal, position_marginal_propagated, wigner_two_slit
 
 
 # ---------------------------------------------------------------- params
@@ -76,21 +76,21 @@ def test_propagated_width_refuses_overflow_and_zero_width(kwargs):
         propagated_width(params)
 
 
-def test_require_domain_checks_only_the_axes_reached():
-    # the momentum forms never form the width, so hbar = 1e300 passes there;
-    # the position forms get the width back; the comb phase a momentum
-    # density builds is p d / hbar, a field's is 2 p d / hbar
+def test_float_range_refuses_only_the_formula_that_leaves_it():
+    # the momentum density never forms the propagated width, so hbar = 1e300
+    # passes there while the position density refuses on the width; at
+    # p = 1e308 both the momentum density and the field square p * x0 / hbar
+    # past the float range and are refused by name with the slit pair
     huge_hbar = SlitPairParams(x0=1.0, d=5.0, hbar=1e300)
-    assert _require_domain(huge_hbar, p_reach=4e300) is None
+    assert np.isfinite(momentum_marginal(huge_hbar, np.array([-4e300, 0.0, 4e300]))).all()
     with pytest.raises(ValueError, match="propagated width"):
-        _require_domain(huge_hbar, x_reach=12.0)
-    params = normalized_params(alpha=6.0)
-    assert _require_domain(params, x_reach=12.0) == propagated_width(params)
-    comb = SlitPairParams(x0=1.0, d=1.0, hbar=1.0)
-    assert _require_domain(comb, p_reach=1e308) is None
-    with pytest.raises(ValueError, match=r"^comb phase 2\*p\*d/hbar at max\|p\| = inf is out of range, for x0=1.0, "
-                                         r"slit offset d=1.0, alpha=0.0, hbar=1.0$"):
-        _require_domain(comb, x_reach=0.0, p_reach=1e308)
+        position_marginal_propagated(huge_hbar, np.array([-12.0, 12.0]))
+    comb, p = SlitPairParams(x0=1.0, d=1.0, hbar=1.0), np.array([1e308])
+    for name, call in [("momentum_marginal", lambda: momentum_marginal(comb, p)),
+                       ("wigner_two_slit", lambda: wigner_two_slit(comb, 0.0, p))]:
+        with pytest.raises(ValueError, match=rf"^{name} leaves the float range \(overflow encountered in square\) "
+                                             rf"for SlitPairParams\(x0=1.0, d=1.0, delta=0.0, hbar=1.0, alpha=0.0\)$"):
+            call()
 
 
 @given(
