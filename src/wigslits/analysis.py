@@ -237,8 +237,8 @@ def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
     return lambda omega: complex(np.sum(windowed * np.exp(-1j * omega * g)) * spacing)
 
 
-def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) -> float:
-    """Angular frequency of the fringe comb.
+def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) -> Optional[float]:
+    """Angular frequency of the fringe comb, or None below 3 maxima.
 
     Seeded by the median spacing of ``maxima``, the curve's prominent maxima
     as the caller found them, then refined by maximizing the magnitude of
@@ -246,7 +246,7 @@ def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) 
     to the envelope pull on individual peak positions.
     """
     if len(maxima) < 3:
-        raise AnalysisError(f"need >= 3 fringe maxima to estimate a period, found {len(maxima)}")
+        return None
     # the median gap by hand: np.median imports numpy.ma in every fresh process
     gaps = sorted(np.diff(maxima).tolist())
     mid = len(gaps) // 2
@@ -265,41 +265,10 @@ def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
 def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
     """Signed displacement of the fringe comb of ``curve`` relative to ``reference``.
 
-    Positive means fringes moved toward the positive axis. Measured as the
-    comb phase difference at the reference comb frequency, mapped to the
-    displacement window [-period/4, 3*period/4): a comb is only defined
-    modulo its period, and the window is biased toward positive
-    displacements to match the sign convention. The curves must share one
-    grid and one axis.
-
-    Falls back to the displacement of the interpolated maximum nearest the
-    reference envelope centroid when the reference has too few fringes to
-    carry a period.
+    The shift of :func:`fringe_report`; the curves must share one grid and
+    one axis.
     """
-    curve, reference, j = _framed(curve, reference)
-    return math.ldexp(_shift(find_fringe_maxima(curve), _windowed_component(curve), reference), -j)
-
-
-def _shift(maxima: List[float], component: Callable[[float], complex], reference: MarginalCurve) -> float:
-    """:func:`fringe_shift` of the curve with these prominent maxima and windowed component."""
-    ref_maxima = find_fringe_maxima(reference)
-    if not maxima or not ref_maxima:
-        raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
-
-    ref_component = _windowed_component(reference)
-    try:
-        omega = _comb_frequency(ref_component, ref_maxima)
-    except AnalysisError:
-        # the envelope centroid: the reference has a maximum, so its mass is > 0
-        weights = _in_range(reference.values)
-        centroid = (weights * reference.grid.points()).sum() / weights.sum()
-        m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
-        m_cur = min(maxima, key=lambda m: abs(m - m_ref))
-        return m_cur - m_ref
-
-    dphi = np.angle(ref_component(omega)) - np.angle(component(omega))
-    dphi = (dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2
-    return float(dphi / omega)
+    return fringe_report(curve, reference).shift_vs_reference
 
 
 def fringe_report(
@@ -307,20 +276,35 @@ def fringe_report(
     reference: MarginalCurve,
     pattern_interval: Optional[Tuple[float, float]] = None,
 ) -> FringeReport:
-    """Report of ``curve`` against ``reference``, with each curve's maxima and component found once.
+    """Report of ``curve`` against ``reference``, with each curve's maxima, component and comb found once.
 
-    The maxima seed the period (the fringe spacing 2 pi / comb frequency, None
-    below 3 maxima); the shift equals :func:`fringe_shift` bit for bit, and
-    ``pattern_interval`` is passed through.
+    The period is the fringe spacing 2 pi / (the curve's comb frequency),
+    None below 3 maxima. The shift is positive when the fringes moved toward
+    the positive axis. It is the comb phase difference at the reference comb
+    frequency, mapped to the displacement window [-P/4, 3P/4) of the
+    reference period P: a comb is only defined modulo its period, and the
+    window is biased toward positive displacements to match the sign
+    convention. When the reference has too few fringes to carry a comb, the
+    shift falls back to the displacement of the interpolated maximum nearest
+    the reference envelope centroid. ``pattern_interval`` is passed through.
     """
     curve, reference, j = _framed(curve, reference)
-    maxima, component = find_fringe_maxima(curve), _windowed_component(curve)
-    try:
-        period = math.ldexp(2 * np.pi / _comb_frequency(component, maxima), -j)
-    except AnalysisError:
-        period = None
-    shift = math.ldexp(_shift(maxima, component, reference), -j)
-    return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, shift, pattern_interval)
+    maxima, ref_maxima = find_fringe_maxima(curve), find_fringe_maxima(reference)
+    if not maxima or not ref_maxima:
+        raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
+    component, ref_component = _windowed_component(curve), _windowed_component(reference)
+    omega, ref_omega = _comb_frequency(component, maxima), _comb_frequency(ref_component, ref_maxima)
+    period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
+    if ref_omega is None:
+        # the envelope centroid: the reference has a maximum, so its mass is > 0
+        weights = _in_range(reference.values)
+        centroid = (weights * reference.grid.points()).sum() / weights.sum()
+        m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
+        shift = min(maxima, key=lambda m: abs(m - m_ref)) - m_ref
+    else:
+        dphi = np.angle(ref_component(ref_omega)) - np.angle(component(ref_omega))
+        shift = float(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega)
+    return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, math.ldexp(shift, -j), pattern_interval)
 
 
 def common_support_interval(curve1: MarginalCurve, curve2: MarginalCurve) -> Optional[Tuple[float, float]]:

@@ -122,7 +122,8 @@ def wigner_two_slit(params: SlitPairParams, x, p):
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     x0, d, hbar, delta = params.x0, params.d, params.hbar, params.delta
-    envelope = 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2)
+    # a numpy product, so the prefactor's overflow traps (a Python product never does)
+    envelope = np.multiply(2 * math.sqrt(math.pi), x0) * np.exp(-(p * x0 / hbar) ** 2)
     slits = np.exp(-((x - d) / x0) ** 2) + np.exp(-((x + d) / x0) ** 2)
     cross = 2 * np.exp(-((x / x0) ** 2)) * np.cos(2 * p * d / hbar - delta)
     # cross alone spans the broadcast shape (slits depends on x only, the
@@ -180,7 +181,7 @@ def wigner_single_slit(params: SlitPairParams, x, p, slit: int = 1):
     p = np.asarray(p, dtype=float)
     x0, hbar = params.x0, params.hbar
     c = slit * params.d
-    return 2 * x0 * math.sqrt(math.pi) * np.exp(-(p * x0 / hbar) ** 2) * np.exp(-((x - c) / x0) ** 2)
+    return np.multiply(2 * math.sqrt(math.pi), x0) * np.exp(-(p * x0 / hbar) ** 2) * np.exp(-((x - c) / x0) ** 2)
 
 
 def _momentum_prefactor(params: SlitPairParams, scale: float) -> float:

@@ -242,6 +242,28 @@ def test_fringe_report_equals_the_public_functions(curve, reference, period_none
     assert fringe_report(curve, reference).pattern_interval is None
 
 
+def test_fringe_report_below_three_maxima_has_no_period_and_the_centroid_shift():
+    # two prominent maxima per curve: too few for a comb on either, so the
+    # period is None and the shift is the displacement of the curve maximum
+    # nearest the reference maximum nearest the reference envelope centroid
+    # (the heavier right peak here, not the first one)
+    grid = Grid1D(min=-4.0, max=4.0, n=801)
+    x = grid.points()
+
+    def pair(left, right):
+        return MarginalCurve("position", grid, 0.6 * np.exp(-4 * (x - left) ** 2) + np.exp(-4 * (x - right) ** 2))
+
+    curve, reference = pair(-1.2, 1.3), pair(-1.0, 1.0)
+    report = fringe_report(curve, reference)
+    maxima, ref_maxima = find_fringe_maxima(curve), find_fringe_maxima(reference)
+    assert len(maxima) == len(ref_maxima) == 2
+    assert report.period_estimate is None
+    centroid = (reference.values * x).sum() / reference.values.sum()
+    m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
+    assert report.shift_vs_reference == min(maxima, key=lambda m: abs(m - m_ref)) - m_ref
+    assert report.shift_vs_reference == pytest.approx(0.3, abs=1e-6)
+
+
 def _scaled_to_float_max(curve):
     # exact power-of-two scaling that puts the peak in [2**1023, 2**1024)
     values = np.ldexp(curve.values, 1024 - math.frexp(curve.values.max())[1])

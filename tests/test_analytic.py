@@ -364,6 +364,16 @@ def test_momentum_prefactor_out_of_range_is_refused(density, x0, refusal):
         density(params, np.linspace(-4.0, 4.0, 9) / x0)
 
 
+@pytest.mark.parametrize("field", [wigner_two_slit, wigner_single_slit])
+def test_field_prefactor_overflow_is_refused(field):
+    # 2 * sqrt(pi) * x0 overflows at x0 = 1e308 although every exponent is
+    # finite; as a Python product it would return inf without a trap
+    params = SlitPairParams(x0=1e308, d=1.0)
+    refusal = rf"^{field.__name__} leaves the float range \(overflow encountered in multiply\) for SlitPairParams"
+    with pytest.raises(ValueError, match=refusal):
+        field(params, np.array([0.0]), np.array([0.0]))
+
+
 # ---------------------------------------------------------------- phase conversions
 
 

@@ -41,7 +41,8 @@ from sweeps import sweep
 from test_numeric import _traced_peak_bytes
 
 SMALL = ["--nx", "64", "--np", "64"]
-# a propagated width of 6e280: finite, but its square, which the closed forms divide by, is not
+TINY = ["--nx", "33", "--np", "17"]
+# A = alpha*hbar/x0**2 = 6e580 is past the float range: refused as A = inf
 WIDTH_SQUARE_OVERFLOWS = ["--x0", "1e-300", "--d", "1e-300", "--hbar", "1e-20", "--alpha", "6", "--nx", "33", "--np", "17"]
 
 
@@ -457,7 +458,6 @@ def _matches_unit_scenario(argv, tmp, d=None, alpha=None):
 @pytest.mark.parametrize(
     "argv, scale",
     [
-        (["simulate", "--d", "5", "--hbar", "1e300"], None),
         (["simulate", "--d", "5", "--alpha", "2e154"], "propagated width inf"),
         (["simulate", "--d", "5", "--x0", "1e-300"], "x0**2 = 0.0"),
         (["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300"], "x0**2 = 0.0"),
@@ -469,53 +469,75 @@ def _matches_unit_scenario(argv, tmp, d=None, alpha=None):
         (["fringes", "--axis", "position", *WIDTH_SQUARE_OVERFLOWS], "A = alpha*hbar/x0**2 = inf"),
         (["simulate", "--d", "5", "--engine", "numeric", "--x0", "1e-300", "--hbar", "1e-150", "--alpha", "6"],
          "A = alpha*hbar/x0**2 = inf"),
+        (["fringes", "--axis", "momentum", "--x0", "1e160", "--d", "1e-300", "--hbar", "1e-20"], "D = d/x0 = 0.0"),
+        (["simulate", "--x0", "1e-160", "--d", "1e-300", "--hbar", "1e-20", "--alpha", "6", *TINY],
+         "x0**2 = 1e-320 and 8*pi*x0**2 must be normal floats, for x0=1e-160"),
     ],
-    ids=["simulate-hbar", "simulate-alpha", "simulate-x0", "simulate-numeric-x0-tiny",
+    ids=["simulate-alpha", "simulate-x0", "simulate-numeric-x0-tiny",
          "simulate-numeric-x0-huge", "simulate-numeric-widening", "fringes-position-alpha",
-         "simulate-width-square", "fringes-position-width-square", "simulate-numeric-step-count"],
+         "simulate-width-square", "fringes-position-width-square", "simulate-numeric-step-count",
+         "fringes-momentum-x0-huge-hbar-tiny", "simulate-x0-subnormal-square"],
 )
 def test_extreme_slit_pair_width_is_a_usage_error(tmp_path, capsys, argv, scale):
-    # finite slit pairs whose raw propagated width overflows, vanishes or
-    # squares past the float range. On the unit scenario a request is refused
-    # by name for the dimensionless scale out of range: A itself, or the
-    # propagated width sqrt(A**2 + 1) of a finite A. simulate also refuses an
-    # x0 whose prefactors x0**2 and 8 pi x0**2 leave the normal floats, before
-    # psi is sampled. hbar = 1e300 alone (simulate-hbar) leaves D = 5 and A = 0,
-    # and is answered as the unit scenario
-    if scale is None:
-        assert _matches_unit_scenario([*argv, "--nx", "33", "--np", "17"], tmp_path) == 0
-        return
+    # slit pairs whose width x0, or propagated width, is extreme. On the unit
+    # scenario a request is refused by name for the dimensionless scale out of
+    # range: A itself, the propagated width sqrt(A**2 + 1) of a finite A, or
+    # (x0-huge-hbar-tiny) D = 1e-300/1e160, which underflows to 0. simulate
+    # also refuses an x0 whose prefactors x0**2 and 8 pi x0**2 leave the
+    # normal floats, before psi is sampled: in x0-subnormal-square the unit
+    # scenario's sheared Gaussian is finite, but the field written is x0 times
+    # its, and x0**2 = 1e-320 is not a normal float
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert scale in err and "x0=" in err
     assert not (tmp_path / "out").exists()
 
 
-def test_fringes_momentum_axis_needs_no_propagated_width(capsys):
-    assert run("fringes", "--axis", "momentum", "--hbar", "1e300") == 0
+_CROSS_TERM_OVERFLOWS = ["--alpha", "1e153", "--hbar", "1e-153", "--d", "1e154", *TINY]
 
 
 @pytest.mark.parametrize(
-    "argv, scale",
+    "argv, code",
     [
-        (["--x0", "1e160"], None),
-        (["--x0", "1e160", "--d", "1e-300", "--hbar", "1e-20"], "D = d/x0 = 0.0"),
-        (["--x0", "1e-300"], None),
-        (["--x0", "3e153"], None),
+        # hbar = 1e300 alone leaves D = 5 and A = 0; the momentum axis needs no
+        # propagated width either
+        (["simulate", "--d", "5", "--hbar", "1e300", *TINY], 0),
+        (["fringes", "--axis", "momentum", "--hbar", "1e300"], 0),
+        # x0**2 overflows or underflows to 0, or (pair-prefactor) the pair's
+        # raw prefactor 8 pi x0**2 does; a report reads the unit scenario's
+        # curves, which need no prefactor
+        (["fringes", "--axis", "momentum", "--x0", "1e160"], 0),
+        (["fringes", "--axis", "momentum", "--x0", "1e-300"], 0),
+        (["fringes", "--axis", "momentum", "--x0", "3e153"], 0),
+        # the raw cross-term phase 2 x alpha d hbar overflows left to right, but
+        # the unit scenario's, with D = 1e154 and A = 1, is finite: simulate
+        # exits 0, fringes with the analysis failure of slits far outside the window
+        (["simulate", *_CROSS_TERM_OVERFLOWS], 0),
+        (["fringes", "--axis", "position", *_CROSS_TERM_OVERFLOWS], 4),
+        # the raw widened grid's largest FFT momentum, 6.4e183, would square past
+        # the float range; the unit scenario's (D = 3.5e-34, A = 0) is ordinary,
+        # with the field scaled by x0 = 3.2e-43
+        (["simulate", "--engine", "numeric", "--x0", "3.1960429258303572e-43", "--d", "1.1233295459727828e-76",
+          "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "65", "--np", "17"], 0),
+        # valid normalized windows whose raw images would overflow (hbar/x0 or
+        # x0 past the float range, or a width of 1.9e308) or collapse (hbar/x0 = 0)
+        (["fringes", "--axis", "momentum", "--x0", "1e-200", "--hbar", "1e200"], 0),
+        (["fringes", "--axis", "momentum", "--x0", "1e200", "--hbar", "1e-200"], 0),
+        (["fringes", "--axis", "momentum", "--x0", "1e308"], 0),
+        (["fringes", "--axis", "momentum", "--x0", "1.7527204992081068e-190", "--hbar", "4.127428451816447e+117"], 0),
     ],
-    ids=["x0-huge", "x0-huge-hbar-tiny", "x0-tiny", "pair-prefactor"],
+    ids=["simulate-hbar", "fringes-momentum-hbar", "fringes-momentum-x0-huge", "fringes-momentum-x0-tiny",
+         "fringes-momentum-pair-prefactor", "simulate-cross-term-phase", "fringes-position-cross-term-phase",
+         "simulate-numeric-free-flight-phase", "fringes-momentum-p-scale-overflows",
+         "fringes-momentum-p-scale-underflows", "fringes-momentum-x-scale-overflows",
+         "fringes-momentum-p-width-overflows"],
 )
-def test_fringes_momentum_prefactor_out_of_range_is_a_usage_error(tmp_path, capsys, argv, scale):
-    # x0**2 overflows or underflows to 0, or (pair-prefactor) the pair's raw
-    # prefactor 8 pi x0**2 does. A report reads the unit scenario's curves,
-    # which need no prefactor, so these are answered as that scenario, unless
-    # (x0-huge-hbar-tiny) D = 1e-300/1e160 underflows to 0: refused by name
-    argv = ["fringes", "--axis", "momentum", *argv]
-    if scale is None:
-        assert _matches_unit_scenario(argv, tmp_path) == 0
-        return
-    code, _, err = _captured(argv)
-    assert code == 2 and scale in err
+def test_raw_scales_are_answered_as_the_unit_scenario(tmp_path, argv, code):
+    # slit pairs whose raw scales, products or windows leave the float range
+    # although the paper's dimensionless scenario (D = d/x0, A = alpha*hbar/x0**2)
+    # is ordinary: the CLI runs that scenario and forms no raw window, so each
+    # request is answered as it, with its exit code, output and scaled files
+    assert _matches_unit_scenario(argv, tmp_path) == code
 
 
 _POSITION_OVERFLOW = "leaves the float range (overflow encountered in square) for SlitPairParams(x0=1.0, d="
@@ -546,30 +568,6 @@ def test_large_slit_offset_is_a_usage_error(tmp_path, capsys, argv, refusal):
         warnings.simplefilter("error")
         assert run(*argv, "--nx", "33", "--np", "17", "--out", str(tmp_path / "out")) == 2
     assert refusal in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", [["simulate"], ["fringes", "--axis", "position"]])
-def test_cross_term_phase_overflow_is_a_usage_error(tmp_path, command):
-    # the raw cross-term phase 2 x alpha d hbar overflows left to right, but
-    # the unit scenario's, with D = 1e154 and A = 1, is finite: answered as
-    # that scenario, simulate with exit 0 and fringes with the analysis
-    # failure of slits far outside the window
-    argv = [*command, "--alpha", "1e153", "--hbar", "1e-153", "--d", "1e154", "--nx", "33", "--np", "17"]
-    assert _matches_unit_scenario(argv, tmp_path) == (0 if command == ["simulate"] else 4)
-
-
-def test_sheared_gaussian_argument_overflow_is_a_usage_error(tmp_path, capsys):
-    # x - alpha p reaches 2.4e141 against x0 = 1e-160, whose raw ratio would
-    # square past the float range. The unit scenario's is finite, but the
-    # field written is x0 times its: x0**2 = 1e-320 is not a normal float, so
-    # the request is refused by name before psi is sampled
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        argv = ["--x0", "1e-160", "--d", "1e-300", "--hbar", "1e-20", "--alpha", "6", "--nx", "33", "--np", "17"]
-        assert run("simulate", *argv, "--out", str(tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert "x0**2 = 1e-320 and 8*pi*x0**2 must be normal floats, for x0=1e-160" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -635,32 +633,6 @@ def test_simulate_numeric_checks_the_bandwidth_before_any_flight(tmp_path, capsy
     assert run("simulate", "--engine", "numeric", *argv) == 2
     assert "lag-lattice bandwidth" in capsys.readouterr().err
     assert flights == []
-
-
-def test_simulate_numeric_free_flight_phase_overflow_is_a_usage_error(tmp_path):
-    # the raw widened grid's largest FFT momentum, 6.4e183, would square past
-    # the float range; the unit scenario's (D = 3.5e-34, A = 0) is ordinary:
-    # answered as that scenario, with the field scaled by x0 = 3.2e-43
-    argv = ["simulate", "--engine", "numeric", "--x0", "3.1960429258303572e-43", "--d", "1.1233295459727828e-76",
-            "--hbar", "2.4690348613560333e+140", "--alpha", "0", "--nx", "65", "--np", "17"]
-    assert _matches_unit_scenario(argv, tmp_path) == 0
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--x0", "1e-200", "--hbar", "1e200"],
-        ["--x0", "1e200", "--hbar", "1e-200"],
-        ["--x0", "1e308"],
-        ["--x0", "1.7527204992081068e-190", "--hbar", "4.127428451816447e+117"],
-    ],
-    ids=["p-scale-overflows", "p-scale-underflows", "x-scale-overflows", "p-width-overflows"],
-)
-def test_raw_window_out_of_range_names_its_scale(tmp_path, argv):
-    # valid normalized windows whose raw images would overflow (hbar/x0 or x0
-    # past the float range, or a width of 1.9e308) or collapse (hbar/x0 = 0):
-    # the CLI forms no raw window, so each is answered as the unit scenario
-    assert _matches_unit_scenario(["fringes", "--axis", "momentum", *argv], tmp_path) == 0
 
 
 _LOG_UNIFORM = st.floats(-300, 300).map(lambda exponent: 10.0**exponent)
@@ -939,8 +911,8 @@ def test_fringes_levels_are_fixed(flag):
 
 def test_fringes_centroid_fallback_at_extreme_scale(capsys):
     # a reference with one maximum takes the shift from the maximum nearest
-    # its envelope centroid; its values reach ~5e307 here, whose weighted
-    # sums must not overflow on the way
+    # its envelope centroid; the raw curve would peak at 8 pi x0**2 ~ 5e307,
+    # but the report reads the unit scenario's, which peaks at 8 pi
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         argv = ["--x0", "1.46e153", "--d", "3.62e43", "--hbar", "6.96e-62", "--nx", "33", "--np", "17"]

@@ -553,6 +553,14 @@ def test_propagate_free_refuses_non_finite_alpha(alpha):
         propagate_free(psi, alpha, 1.0)
 
 
+def test_propagate_free_refuses_a_phase_past_the_float_range():
+    # alpha * p_max**2 overflows although alpha is finite; the refusal comes
+    # before any transform
+    psi = sample_wavefunction(normalized_params(), Grid1D(-12.0, 12.0, 64))
+    with pytest.raises(ValueError, match=r"^free-flight phase alpha\*p\*\*2/\(2\*hbar\) is not finite"):
+        propagate_free(psi, 1e308)
+
+
 def test_all_zero_wavefunction_passes_the_edge_check():
     # no peak to measure the edges against: the guard lets it through
     psi = SampledWavefunction(grid=X_GRID, values=np.zeros(X_GRID.n))
