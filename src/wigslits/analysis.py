@@ -39,17 +39,6 @@ __all__ = [
 # washed-out outer fringes from skewing the initial period estimate.
 _MIN_PROMINENCE = 0.05
 
-# Binary exponent past which a curve is first scaled by a power of two: values
-# whose peak, or a grid whose spacing, lies outside 2**-201 .. 2**200 are
-# taken into [0.5, 1). Within those bounds every product the analysis forms
-# stays a normal float: the windowed component's sum times the spacing, the
-# centroid's weights times points, and the comb search's steps times
-# magnitudes. A marginal can peak near the float maximum (8 pi x0^2 does),
-# and a curve file can carry any unit. The scaling is exact, so a report
-# moves with the grid's scale and no bit more, and curves within the bounds
-# are used as they are.
-_RANGE_EXPONENT = 200
-
 # Candidate peaks whose bases _prominent_peaks seeks together: its
 # temporaries hold this many rows of the curve's length.
 _PEAK_CHUNK = 64
@@ -59,26 +48,19 @@ _PEAK_CHUNK = 64
 _PATTERN_LEVEL = math.exp(-9)
 
 
-def _scale_exponent(x: float) -> int:
-    """0 where x is 0 or within 2**+-``_RANGE_EXPONENT``, else the power of two that takes x into [0.5, 1)."""
-    exponent = math.frexp(x)[1]
-    return -exponent if abs(exponent) > _RANGE_EXPONENT else 0
+def _framed(curve: MarginalCurve) -> Tuple[MarginalCurve, int]:
+    """``curve`` with its grid scaled by 2**j and its values by a power of two; and j.
 
-
-def _in_range(values: np.ndarray) -> np.ndarray:
-    """``values``, scaled by a power of two to a peak in [0.5, 1) where their peak is out of range."""
-    exponent = _scale_exponent(values.max())
-    return np.ldexp(values, exponent) if exponent else values
-
-
-def _framed(curve: MarginalCurve, reference: MarginalCurve) -> Tuple[MarginalCurve, MarginalCurve, int]:
-    """The two curves, which must share a grid and an axis, on that grid scaled by 2**j into range; and j."""
-    _require_comparable(curve, reference)
-    j = _scale_exponent(curve.grid.spacing)
-    if j:
-        grid = Grid1D(min=math.ldexp(curve.grid.min, j), max=math.ldexp(curve.grid.max, j), n=curve.grid.n)
-        curve, reference = (MarginalCurve(c.axis_label, grid, c.values) for c in (curve, reference))
-    return curve, reference, j
+    The spacing and the peak land in [0.5, 1); a zero peak stays 0. There every
+    product the analysis forms is a normal float, though a marginal can peak near
+    the float maximum (8 pi x0^2 does) and a curve file can carry any unit. The
+    scaling is exact, so a measurement moves with the grid's scale and no bit more.
+    """
+    grid = curve.grid
+    j = -math.frexp(grid.spacing)[1]
+    values = np.ldexp(curve.values, -math.frexp(curve.values.max())[1])
+    framed = Grid1D(min=math.ldexp(grid.min, j), max=math.ldexp(grid.max, j), n=grid.n)
+    return MarginalCurve(curve.axis_label, framed, values), j
 
 
 def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
@@ -88,7 +70,8 @@ def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
     the parabola through it and its two neighbors. Returns an ascending
     list; empty when the curve has no prominent peaks (e.g. it is flat).
     """
-    values = _in_range(curve.values)
+    curve, j = _framed(curve)
+    values = curve.values
     peak = values.max()
     if peak <= 0:
         return []
@@ -100,7 +83,7 @@ def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
         ym1, y0, yp1 = values[i - 1], values[i], values[i + 1]
         denom = ym1 - 2 * y0 + yp1
         offset = 0.0 if denom == 0 else 0.5 * (ym1 - yp1) / denom
-        out.append(float(points[i] + offset * spacing))
+        out.append(math.ldexp(points[i] + offset * spacing, -j))
     return out
 
 
@@ -232,7 +215,7 @@ def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
     # Hann window: zero value and slope at the edges, so grid truncation of
     # a non-decayed envelope does not leak into the comb phase.
     g = curve.grid.points()
-    windowed = np.hanning(curve.grid.n) * _in_range(curve.values)
+    windowed = np.hanning(curve.grid.n) * curve.values
     spacing = curve.grid.spacing
     return lambda omega: complex(np.sum(windowed * np.exp(-1j * omega * g)) * spacing)
 
@@ -288,7 +271,8 @@ def fringe_report(
     shift falls back to the displacement of the interpolated maximum nearest
     the reference envelope centroid. ``pattern_interval`` is passed through.
     """
-    curve, reference, j = _framed(curve, reference)
+    _require_comparable(curve, reference)
+    (curve, j), (reference, _) = _framed(curve), _framed(reference)
     maxima, ref_maxima = find_fringe_maxima(curve), find_fringe_maxima(reference)
     if not maxima or not ref_maxima:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
@@ -297,8 +281,7 @@ def fringe_report(
     period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
     if ref_omega is None:
         # the envelope centroid: the reference has a maximum, so its mass is > 0
-        weights = _in_range(reference.values)
-        centroid = (weights * reference.grid.points()).sum() / weights.sum()
+        centroid = (reference.values * reference.grid.points()).sum() / reference.values.sum()
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
         shift = min(maxima, key=lambda m: abs(m - m_ref)) - m_ref
     else:
@@ -321,11 +304,12 @@ def common_support_interval(curve1: MarginalCurve, curve2: MarginalCurve) -> Opt
     coords = curve1.grid.points()
     lo, hi = coords[0], coords[-1]
     for curve in (curve1, curve2):
-        peak = curve.values.max()
+        values = _framed(curve)[0].values
+        peak = values.max()
         if peak <= 0:
             return None
         # never empty: the peak itself is at or above the level
-        above = coords[curve.values >= _PATTERN_LEVEL * peak]
+        above = coords[values >= _PATTERN_LEVEL * peak]
         lo = max(lo, above[0])
         hi = min(hi, above[-1])
     if lo > hi:

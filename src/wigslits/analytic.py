@@ -31,7 +31,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import Grid2D, SlitPairParams, WignerField, _float_range, _frozen_array, _require_finite, propagated_width
+from .model import Grid2D, SlitPairParams, WignerField, propagated_width
+from .model import _float_range, _frozen_array, _require_finite, _require_positive
 
 __all__ = [
     "FluxSpec",
@@ -60,8 +61,7 @@ class FluxSpec:
 
     def __post_init__(self):
         _require_finite("flux", self.phi)
-        if not _require_finite("flux quantum", self.phi0) > 0:
-            raise ValueError(f"flux quantum must be > 0, got {self.phi0!r}")
+        _require_positive("flux quantum", self.phi0)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_positive(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SlitPairParams:
     """Physical scenario of the two-slit Gaussian pair.
@@ -61,13 +68,8 @@ class SlitPairParams:
 
     def __post_init__(self):
         for name in ("x0", "d", "delta", "hbar", "alpha"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.x0 <= 0:
-            raise ValueError(f"x0 must be > 0, got {self.x0}")
-        if self.d <= 0:
-            raise ValueError(f"d must be > 0, got {self.d}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be > 0, got {self.hbar}")
+            require = _require_positive if name in ("x0", "d", "hbar") else _require_finite
+            object.__setattr__(self, name, require(name, getattr(self, name)))
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SampledWavefunction, SlitPairParams, WignerField
-from .model import _float_range, _require_finite, propagated_width
+from .model import _float_range, _require_finite, _require_positive, propagated_width
 
 __all__ = [
     "DEFAULT_EDGE_DECAY_TOL",
@@ -133,6 +133,7 @@ def momentum_wavefunction(psi: SampledWavefunction, p_grid: Grid1D, hbar: float 
     block) and repeated runs are bit-identical. Returns a complex array of
     length ``p_grid.n``.
     """
+    _require_positive("hbar", hbar)
     _check_edge_decay(psi.values, "momentum transform")
     x = psi.grid.points()
     p = p_grid.points()
@@ -196,6 +197,7 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
 
     Returns a WignerField on ``psi.grid`` x ``p_grid``.
     """
+    _require_positive("hbar", hbar)
     _check_edge_decay(psi.values, "Wigner transform")
     n = psi.grid.n
     dx = psi.grid.spacing
@@ -287,6 +289,7 @@ def propagate_free(
     """
     if _require_finite("alpha", alpha) < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _require_positive("hbar", hbar)
     _check_edge_decay(psi.values, "free propagation (input)", on_truncation)
     p = 2 * math.pi * hbar * np.fft.fftfreq(psi.grid.n, d=psi.grid.spacing)
     p_max = float(max(p.max(), -p.min()))
@@ -377,6 +380,7 @@ def field_marginal(field: WignerField, axis: str, hbar: float = 1.0) -> Marginal
     A kernel-sign error need not drive a marginal negative; wigner_transform
     checks for it instead.
     """
+    _require_positive("hbar", hbar)
     if axis == "position":
         grid = field.grid.x_axis
         values = field.values @ _trapezoid_weights(field.grid.p_axis) / (2 * math.pi * hbar)

@@ -17,6 +17,7 @@ from wigslits import (
     TruncationError,
     WignerField,
     common_support_interval,
+    field_marginal,
     field_marginals,
     fringe_shift,
     momentum_marginal,
@@ -196,15 +197,16 @@ def test_wigner_transform_enforces_momentum_bandwidth():
 
 
 def test_wigner_transform_catches_kernel_sign_flip(monkeypatch):
-    # checking the field against phibar(-p) (the reference evaluated with
-    # -hbar) is the same comparison as checking a flipped-kernel field
-    # against phibar(p); at delta = 4 the two momentum densities differ
+    # checking the field against phibar(-p) (the reference evaluated on the
+    # mirrored momentum grid, read backwards) is the same comparison as
+    # checking a flipped-kernel field against phibar(p); at delta = 4 the two
+    # momentum densities differ
     original = wigslits.numeric.momentum_wavefunction
-    monkeypatch.setattr(
-        wigslits.numeric,
-        "momentum_wavefunction",
-        lambda psi, p_grid, hbar=1.0, **kwargs: original(psi, p_grid, -hbar, **kwargs),
-    )
+
+    def mirrored(psi, p_grid, hbar=1.0):
+        return original(psi, Grid1D(min=-p_grid.max, max=-p_grid.min, n=p_grid.n), hbar)[::-1]
+
+    monkeypatch.setattr(wigslits.numeric, "momentum_wavefunction", mirrored)
     psi = sample_wavefunction(normalized_params(delta=4.0), X_GRID)
     with pytest.raises(ConventionViolationError, match="phibar"):
         wigner_transform(psi, P_GRID, 1.0)
@@ -559,6 +561,27 @@ def test_propagate_free_refuses_a_phase_past_the_float_range():
     psi = sample_wavefunction(normalized_params(), Grid1D(-12.0, 12.0, 64))
     with pytest.raises(ValueError, match=r"^free-flight phase alpha\*p\*\*2/\(2\*hbar\) is not finite"):
         propagate_free(psi, 1e308)
+
+
+_HBAR_CALLS = {
+    "momentum_wavefunction": lambda psi, field, hbar: momentum_wavefunction(psi, P_GRID, hbar),
+    "wigner_transform": lambda psi, field, hbar: wigner_transform(psi, P_GRID, hbar),
+    "propagate_free": lambda psi, field, hbar: propagate_free(psi, 1.0, hbar),
+    "field_marginal": lambda psi, field, hbar: field_marginal(field, "momentum", hbar),
+    "field_marginals": lambda psi, field, hbar: field_marginals(field, hbar),
+}
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", list(_HBAR_CALLS))
+def test_numeric_functions_refuse_an_hbar_that_is_not_finite_and_positive(call, hbar):
+    # unchecked, hbar = 0 divided by zero, -1 gave phibar(-p) or a negative
+    # marginal, and nan or inf ended in a numpy warning or a refusal naming the
+    # x grid; the momentum marginal, which does not use hbar, took any value
+    psi = sample_wavefunction(normalized_params(), X_GRID)
+    field = WignerField(Grid2D(X_GRID, P_GRID), np.ones((X_GRID.n, P_GRID.n)))
+    with pytest.raises(ValueError, match=r"^hbar must be (finite|> 0), got"):
+        _HBAR_CALLS[call](psi, field, hbar)
 
 
 def test_all_zero_wavefunction_passes_the_edge_check():
