@@ -48,19 +48,23 @@ _PEAK_CHUNK = 64
 _PATTERN_LEVEL = math.exp(-9)
 
 
-def _framed(curve: MarginalCurve) -> Tuple[MarginalCurve, int]:
-    """``curve`` with its grid scaled by 2**j and its values by a power of two; and j.
+def _unit_peak(values: np.ndarray) -> np.ndarray:
+    """``values`` times the power of two that puts their peak in [0.5, 1); a zero peak stays 0."""
+    return np.ldexp(values, -math.frexp(values.max())[1])
 
-    The spacing and the peak land in [0.5, 1); a zero peak stays 0. There every
-    product the analysis forms is a normal float, though a marginal can peak near
-    the float maximum (8 pi x0^2 does) and a curve file can carry any unit. The
-    scaling is exact, so a measurement moves with the grid's scale and no bit more.
+
+def _framed(curve: MarginalCurve) -> Tuple[MarginalCurve, int]:
+    """``curve`` with its grid scaled by 2**j and its values by :func:`_unit_peak`; and j.
+
+    The spacing lands in [0.5, 1), where every product the analysis forms is
+    normal, though a marginal can peak near the float maximum (8 pi x0^2 does)
+    and a curve file can carry any unit. The scaling is exact, so a measurement
+    moves with the grid's scale and no bit more. A public call frames each curve once.
     """
     grid = curve.grid
     j = -math.frexp(grid.spacing)[1]
-    values = np.ldexp(curve.values, -math.frexp(curve.values.max())[1])
     framed = Grid1D(min=math.ldexp(grid.min, j), max=math.ldexp(grid.max, j), n=grid.n)
-    return MarginalCurve(curve.axis_label, framed, values), j
+    return MarginalCurve(curve.axis_label, framed, _unit_peak(curve.values)), j
 
 
 def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
@@ -71,19 +75,18 @@ def find_fringe_maxima(curve: MarginalCurve) -> List[float]:
     list; empty when the curve has no prominent peaks (e.g. it is flat).
     """
     curve, j = _framed(curve)
-    values = curve.values
-    peak = values.max()
-    if peak <= 0:
-        return []
-    indices = _prominent_peaks(values, _MIN_PROMINENCE * peak)
-    points = curve.grid.points()
-    spacing = curve.grid.spacing
+    return [math.ldexp(m, -j) for m in _framed_maxima(curve)]
+
+
+def _framed_maxima(curve: MarginalCurve) -> List[float]:
+    """:func:`find_fringe_maxima` of a curve :func:`_framed` returned, in its frame."""
+    values, points, spacing = curve.values, curve.grid.points(), curve.grid.spacing
     out = []
-    for i in indices:
+    for i in _prominent_peaks(values, _MIN_PROMINENCE * values.max()):
         ym1, y0, yp1 = values[i - 1], values[i], values[i + 1]
         denom = ym1 - 2 * y0 + yp1
         offset = 0.0 if denom == 0 else 0.5 * (ym1 - yp1) / denom
-        out.append(math.ldexp(points[i] + offset * spacing, -j))
+        out.append(points[i] + offset * spacing)
     return out
 
 
@@ -273,7 +276,7 @@ def fringe_report(
     """
     _require_comparable(curve, reference)
     (curve, j), (reference, _) = _framed(curve), _framed(reference)
-    maxima, ref_maxima = find_fringe_maxima(curve), find_fringe_maxima(reference)
+    maxima, ref_maxima = _framed_maxima(curve), _framed_maxima(reference)
     if not maxima or not ref_maxima:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
     component, ref_component = _windowed_component(curve), _windowed_component(reference)
@@ -304,7 +307,7 @@ def common_support_interval(curve1: MarginalCurve, curve2: MarginalCurve) -> Opt
     coords = curve1.grid.points()
     lo, hi = coords[0], coords[-1]
     for curve in (curve1, curve2):
-        values = _framed(curve)[0].values
+        values = _unit_peak(curve.values)
         peak = values.max()
         if peak <= 0:
             return None

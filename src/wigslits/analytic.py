@@ -89,15 +89,12 @@ class PulseSeries:
     def integral(self) -> float:
         """Trapezoid integral of the sampled pulse; exact for piecewise-linear pulses.
 
-        Where a step, a sum of two values, a product or a partial sum would
-        overflow, the times and values are first scaled down by powers of
-        two and the integral scaled back, so it is inf only past the float
-        range.
+        One path: ``np.trapezoid`` of the times and values scaled down by powers
+        of two, so no step, sum, product or partial sum overflows, scaled back;
+        +-inf only past the float range. Both shifts are 0, so the result is the
+        plain trapezoid's, unless a time or value reaches 2**1022 or max|t| *
+        max|v| * n nears 2**1021; then it is too where no scaled term is subnormal.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.trapezoid(self.values, self.times))
-        if math.isfinite(total):
-            return total
         # below 2**1022 after the shifts, with room for the step's product and the n-term sum
         e_t, e_v = (math.frexp(np.abs(a).max())[1] for a in (self.times, self.values))
         shift_t = max(0, e_t - 1022)
@@ -106,7 +103,7 @@ class PulseSeries:
         try:
             return math.ldexp(total, shift_t + shift_v)
         except OverflowError:
-            return math.inf
+            return math.copysign(math.inf, total)
 
 
 @_float_range

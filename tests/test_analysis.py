@@ -25,6 +25,7 @@ from wigslits import (
     single_slit_field,
     single_slit_marginal,
 )
+import wigslits.analysis
 from wigslits.analysis import _bounded_minimum, _prominent_peaks
 from sweeps import sweep
 
@@ -393,6 +394,30 @@ def test_random_scalings_give_the_scaled_report():
             _scaled_report_holds(names[n], k, j)
         except Exception as exc:
             raise AssertionError(f"draw {i}, seed {seed}: {names[n]}, k={k}, j={j}") from exc
+
+
+def test_each_curve_is_framed_once_per_call(monkeypatch):
+    # a report and its shift frame their two curves once each, the maxima
+    # their one curve; the support interval scales only the values, with no
+    # framed curve built
+    framings = []
+
+    def counted(curve):
+        framings.append(curve)
+        return framed(curve)
+
+    framed = wigslits.analysis._framed
+    monkeypatch.setattr(wigslits.analysis, "_framed", counted)
+    curve, reference = _p_curve(4.0), _p_curve(0.0)
+    for call, count in (
+        (lambda: fringe_report(curve, reference), 2),
+        (lambda: fringe_shift(curve, reference), 2),
+        (lambda: find_fringe_maxima(curve), 1),
+        (lambda: common_support_interval(curve, reference), 0),
+    ):
+        framings.clear()
+        call()
+        assert len(framings) == count
 
 
 # ---------------------------------------------------------------- pattern interval

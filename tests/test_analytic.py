@@ -1,9 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
@@ -28,6 +29,7 @@ from wigslits import (
     wigner_two_slit,
     wigner_two_slit_propagated,
 )
+from sweeps import sweep
 
 
 def _psi(x, params):
@@ -441,4 +443,80 @@ def test_pulse_trapezoid_matches_numpy_reference():
     t = np.array([0.0, 0.5, 2.0, 3.0])
     v = np.array([1.0, -2.0, 0.5, 4.0])
     series = PulseSeries(times=t, values=v)
-    assert series.integral() == pytest.approx(np.trapezoid(v, t), rel=1e-15)
+    assert series.integral() == np.trapezoid(v, t)
+
+
+def _scaled_pulse_integral_holds(times, values, k_t, k_v):
+    # the pulse (times * 2**k_t, values * 2**k_v), from samples in [-1, 1] that
+    # are 0 or at least 2**-60 and exponents in [-200, 1023]: every step, sum,
+    # product and partial sum of the unscaled samples is a normal float, and
+    # so is each of the pulse's wherever it is finite. Its integral is then
+    # the unscaled one times 2**(k_t + k_v), +-inf past the float range, and
+    # bit for bit the plain trapezoid wherever that is finite
+    unscaled = np.trapezoid(values, times)
+    times, values = np.ldexp(times, k_t), np.ldexp(values, k_v)
+    try:
+        want = math.ldexp(unscaled, k_t + k_v)
+    except OverflowError:
+        want = math.copysign(math.inf, unscaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = PulseSeries(times=times, values=values).integral()
+    assert got == want
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = np.trapezoid(values, times)
+    if math.isfinite(plain):
+        assert got == plain
+    return math.isfinite(plain)
+
+
+def _unit_sample(draw):
+    return draw if abs(draw) >= 2**-60 else 0.0
+
+
+_UNIT_SAMPLES = st.floats(-1.0, 1.0).map(_unit_sample)
+
+
+@settings(max_examples=300, deadline=None)
+@example(times=[0.0, 0.5, 1.0], values=[0.5] * 64, k_t=0, k_v=1021)  # 2**1020: plain, with shifts > 0
+@example(times=[-1.0, 1.0], values=[1.0] * 64, k_t=1023, k_v=-100)  # a step past the range, not the integral
+@example(times=[-1.0, 1.0], values=[-1.0] * 64, k_t=1023, k_v=1023)  # past the range, negative
+@given(
+    times=st.lists(_UNIT_SAMPLES, min_size=2, max_size=64, unique=True).map(sorted),
+    values=st.lists(_UNIT_SAMPLES, min_size=64, max_size=64),
+    k_t=st.integers(-200, 1023),
+    k_v=st.integers(-200, 1023),
+)
+def test_pulse_integral_is_the_plain_trapezoid_wherever_that_is_finite(times, values, k_t, k_v):
+    _scaled_pulse_integral_holds(np.array(times), np.array(values[: len(times)]), k_t, k_v)
+
+
+def test_random_pulse_integrals_are_the_scaled_trapezoid():
+    # 2-64 samples drawn as for the property above, log-uniform in magnitude;
+    # k_t uniform, and k_v uniform on every other draw, else within 4 of where
+    # max|t| * max|v| * n reaches 2**1021, so that many plain sums are finite
+    # with shifts > 0. CI draws 20,000
+    seed, count = sweep(500, 20_000)
+    rng = np.random.default_rng(seed)
+    finite_and_shifted = 0
+
+    def samples(n):
+        u = rng.uniform(-1.0, 1.0, n) * 2.0 ** -rng.integers(0, 61, n)
+        return np.where(np.abs(u) >= 2**-60, u, 0.0)
+
+    for i in range(count):
+        times = np.unique(samples(int(rng.integers(2, 65))))  # sorted; under 2 distinct times, skipped
+        if times.size < 2:
+            continue
+        values = samples(times.size)
+        # the exponents of max|t| * 2**k_t, max|v| * 2**k_v and n: past 1021 in sum, the integral's shifts are > 0
+        exponent = sum(math.frexp(np.abs(a).max())[1] for a in (times, values)) + times.size.bit_length()
+        k_t = int(rng.integers(-200, 1024))
+        near = 1021 - exponent - k_t + int(rng.integers(-4, 5))
+        k_v = int(rng.integers(-200, 1024)) if i % 2 else min(max(near, -200), 1023)
+        try:
+            finite = _scaled_pulse_integral_holds(times, values, k_t, k_v)
+        except Exception as exc:
+            raise AssertionError(f"draw {i}, seed {seed}: n={times.size}, k_t={k_t}, k_v={k_v}") from exc
+        finite_and_shifted += finite and exponent + k_t + k_v > 1021
+    assert finite_and_shifted > count // 10

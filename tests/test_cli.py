@@ -881,20 +881,23 @@ def test_fringes_builds_no_phase_space_field(capsys):
 
 def test_fringes_finds_each_curves_maxima_once(monkeypatch, capsys):
     # the curve's maxima and windowed component serve the printed maxima, the
-    # period and the shift; the reference's serve its comb frequency
+    # period and the shift; the reference's serve its comb frequency. The
+    # report finds the maxima of its framed curves, not through the public
+    # find_fringe_maxima, which would frame each curve again
     maxima_calls, components = [], []
 
     def counted(curve):
         maxima_calls.append(curve)
-        return find_fringe_maxima(curve)
+        return framed_maxima(curve)
 
     def counted_component(curve):
         components.append(curve)
         return windowed_component(curve)
 
-    windowed_component = wigslits.analysis._windowed_component
-    monkeypatch.setattr(wigslits.analysis, "find_fringe_maxima", counted)
+    framed_maxima, windowed_component = wigslits.analysis._framed_maxima, wigslits.analysis._windowed_component
+    monkeypatch.setattr(wigslits.analysis, "_framed_maxima", counted)
     monkeypatch.setattr(wigslits.analysis, "_windowed_component", counted_component)
+    monkeypatch.setattr(wigslits.analysis, "find_fringe_maxima", None)
     assert run("fringes", "--axis", "momentum", "--delta", "4") == 0
     capsys.readouterr()
     assert len(maxima_calls) == 2
