@@ -90,16 +90,31 @@ class PulseSeries:
         """Trapezoid integral of the sampled pulse; exact for piecewise-linear pulses.
 
         One path: ``np.trapezoid`` of the times and values scaled down by powers
-        of two, so no step, sum, product or partial sum overflows, scaled back;
-        +-inf only past the float range. Both shifts are 0, so the result is the
-        plain trapezoid's, unless a time or value reaches 2**1022 or max|t| *
-        max|v| * n nears 2**1021; then it is too where no scaled term is subnormal.
+        of two, so no step, pair sum, term or partial sum overflows, scaled back;
+        +-inf only past the float range. The shifts are sized from the
+        trapezoid's terms, step times pair sum. The times are halved only if a
+        step leaves the float range, the values only if a pair sum does. The
+        largest term, with room for the sum of all of them, sets any further
+        shift, split so that the smallest step and the smallest nonzero pair
+        sum keep the most room above the normal range. So the result is the
+        plain trapezoid's wherever that is finite and no scaled step, pair sum
+        or term is subnormal, and a pulse that needs no shift keeps its
+        subnormal steps whole.
         """
-        # below 2**1022 after the shifts, with room for the step's product and the n-term sum
-        e_t, e_v = (math.frexp(np.abs(a).max())[1] for a in (self.times, self.values))
-        shift_t = max(0, e_t - 1022)
-        shift_v = max(0, e_v - 1022, e_t - shift_t + e_v + self.times.size.bit_length() - 1021)
-        total = np.trapezoid(np.ldexp(self.values, -shift_v), np.ldexp(self.times, -shift_t))
+        t, v = self.times, self.values
+        with np.errstate(over="ignore"):  # the halves' steps and pair sums cannot overflow
+            shift_t = int(not np.isfinite(np.diff(t)).all())
+            shift_v = int(not np.isfinite(v[1:] + v[:-1]).all())
+        scaled = np.ldexp(v, -shift_v)
+        steps, sums = np.diff(np.ldexp(t, -shift_t)), scaled[1:] + scaled[:-1]
+        live = sums != 0  # a zero pair sum makes a zero term at any step
+        if live.any():
+            e_step, e_sum = np.frexp(steps[live])[1], np.frexp(sums[live])[1]
+            # each term below 2**(e_step + e_sum), and the n - 1 of them summed below 2**1023
+            extra = max(0, int((e_step + e_sum).max()) + (t.size - 1).bit_length() - 1024)
+            cut_t = min(max((extra + int(e_step.min()) - int(e_sum.min())) // 2, 0), extra)
+            shift_t, shift_v = shift_t + cut_t, shift_v + extra - cut_t
+        total = np.trapezoid(np.ldexp(v, -shift_v), np.ldexp(t, -shift_t))
         try:
             return math.ldexp(total, shift_t + shift_v)
         except OverflowError:

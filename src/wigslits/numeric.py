@@ -4,6 +4,11 @@ transform, free propagation, phase-space shear, and field marginals.
 These routines are the independent counterpart of the closed forms in
 :mod:`wigslits.analytic`; each side cross-checks the other in the test
 suite. All transforms use the exp(+i x p / hbar) kernel convention.
+
+A producer of an n x n_p field allocates the field before its block-sized
+scratch: the scratch then lies above the field on the heap and, once freed,
+returns to the heap top for the next array instead of staying a hole under
+the live field.
 """
 
 from __future__ import annotations
@@ -182,7 +187,8 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
     at a time; no dense n x n_p kernel is built. With k = K s + r (s =
     ``_TABLE_SPLIT``) and theta = 2 dx p/hbar, the block's kernel exp(i k theta) is the product
     of a coarse phase table (K s, L/s rows) and a fine one (r, s rows),
-    written into one complex buffer allocated once per call. Viewed as
+    written into one complex buffer allocated once per call, after the
+    field itself (result first, then scratch; see the module docstring). Viewed as
     floats, the lag products (scaled by 4 dx) hold (Re g, -Im g) pairs and
     the kernel (cos, sin) pairs, so the block of W is a real matrix
     product. Row i reaches only lags k <= min(i, n - 1 - i), so x is cut
@@ -230,6 +236,7 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
     # the guard's reference first, while no n x n_p array is held yet
     phibar = momentum_wavefunction(psi, p_grid, hbar)
 
+    w = np.empty((n, p.size))  # before the scratch, which is then freed above it
     padded = np.zeros(n + 2 * n_lags, dtype=complex)
     padded[n_lags : n_lags + n] = psi.values
     behind = sliding_window_view(padded, n_lags)[1 : n + 1, ::-1]  # psi(x_i - k dx)
@@ -240,7 +247,6 @@ def wigner_transform(psi: SampledWavefunction, p_grid: Grid1D, hbar: float = 1.0
     coarse_lags = 2 * dx * np.arange(0, n_lags, _TABLE_SPLIT)
     fine_lags = 2 * dx * np.arange(_TABLE_SPLIT)
     kernel = np.empty(kernel_cells, dtype=complex)
-    w = np.empty((n, p.size))
     for start in range(0, p.size, _P_BLOCK):
         block = slice(start, start + _P_BLOCK)
         b = p[block].size

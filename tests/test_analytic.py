@@ -446,6 +446,15 @@ def test_pulse_trapezoid_matches_numpy_reference():
     assert series.integral() == np.trapezoid(v, t)
 
 
+def test_pulse_integral_keeps_a_subnormal_step():
+    # the plain trapezoid is finite, so no shift is needed: shifts sized from
+    # max|t| * max|v| * n (2 and 1004) rounded the 3 * 2**-1074 step to 2**-1074
+    # and flushed its term to 0
+    t = np.array([0.0, 3 * 2.0**-1074, 2.0**1023])
+    v = np.array([2.0**1000, 1.0, -1.0])
+    assert PulseSeries(times=t, values=v).integral() == np.trapezoid(v, t) == 7.940933880509066e-23
+
+
 def _scaled_pulse_integral_holds(times, values, k_t, k_v):
     # the pulse (times * 2**k_t, values * 2**k_v), from samples in [-1, 1] that
     # are 0 or at least 2**-60 and exponents in [-200, 1023]: every step, sum,

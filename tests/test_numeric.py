@@ -1,6 +1,11 @@
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +340,44 @@ def test_transforms_hold_no_dense_kernel():
     field_bytes = n * n * np.dtype(float).itemsize
     assert _traced_peak_bytes(lambda: wigner_transform(psi, p_grid, 1.0)) <= 1.6 * field_bytes
     assert _traced_peak_bytes(lambda: momentum_wavefunction(psi, p_grid, 1.0)) <= 0.75 * field_bytes
+
+
+# In a fresh interpreter: a first 1024² transform, dropped, lifts glibc's mmap
+# threshold past one field, so the next fields come from the heap; then a
+# transform and its shear are held and the heap's free bytes printed. The
+# transform's field allocated after its 3 MiB of kernel and lag band leaves
+# them as a hole under it (3.8 MiB free); allocated first, 0.8 MiB.
+_HEAP_SCRIPT = """
+import ctypes
+from wigslits import Grid1D, normalized_params, sample_wavefunction, shear_field, wigner_transform
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+grid, p_grid = Grid1D(min=-12.0, max=12.0, n=1024), Grid1D(min=-4.0, max=4.0, n=1024)
+wigner_transform(sample_wavefunction(normalized_params(), grid), p_grid)
+field = wigner_transform(sample_wavefunction(normalized_params(delta=4.0), grid), p_grid)
+sheared = shear_field(field, 6.0)
+print(mallinfo2().fordblks)
+"""
+
+
+_LIBC, _LIBC_VERSION = platform.libc_ver()
+
+
+@pytest.mark.skipif(
+    _LIBC != "glibc" or tuple(map(int, _LIBC_VERSION.split(".")[:2])) < (2, 33),
+    reason="mallinfo2 is glibc's, from 2.33",
+)
+def test_transform_scratch_leaves_no_hole_under_its_field():
+    src = str(Path(wigslits.numeric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _HEAP_SCRIPT], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2 * 2**20
 
 
 FLIGHT = normalized_params(alpha=6.0, delta=4.0)
