@@ -383,6 +383,9 @@ def test_phase_from_flux():
     assert phase_from_flux(FluxSpec(phi=0.0, phi0=1.0)) == 0.0
     assert phase_from_flux(FluxSpec(phi=1.0, phi0=1.0)) == pytest.approx(2 * math.pi, rel=1e-15)
     assert phase_from_flux(FluxSpec(phi=0.5, phi0=1.0)) == pytest.approx(math.pi, rel=1e-15)
+    # the ratio first: 2 pi * phi would be subnormal, or past the float range, while the phase is not
+    assert phase_from_flux(FluxSpec(phi=1e-320, phi0=1e-320)) == 2 * math.pi
+    assert phase_from_flux(FluxSpec(phi=1e308, phi0=1e10)) == 2 * math.pi * 1e298
 
 
 @pytest.mark.parametrize("phi0", [0.0, -1.0, math.inf, math.nan])
@@ -447,9 +450,8 @@ def test_pulse_trapezoid_matches_numpy_reference():
 
 
 def test_pulse_integral_keeps_a_subnormal_step():
-    # the plain trapezoid is finite, so no shift is needed: shifts sized from
-    # max|t| * max|v| * n (2 and 1004) rounded the 3 * 2**-1074 step to 2**-1074
-    # and flushed its term to 0
+    # the plain trapezoid is finite, so it is the integral: framed to max|t| in
+    # [0.5, 1), the 3 * 2**-1074 step would round to 0 and flush its term
     t = np.array([0.0, 3 * 2.0**-1074, 2.0**1023])
     v = np.array([2.0**1000, 1.0, -1.0])
     assert PulseSeries(times=t, values=v).integral() == np.trapezoid(v, t) == 7.940933880509066e-23
@@ -487,8 +489,9 @@ _UNIT_SAMPLES = st.floats(-1.0, 1.0).map(_unit_sample)
 
 
 @settings(max_examples=300, deadline=None)
-@example(times=[0.0, 0.5, 1.0], values=[0.5] * 64, k_t=0, k_v=1021)  # 2**1020: plain, with shifts > 0
+@example(times=[0.0, 0.5, 1.0], values=[0.5] * 64, k_t=0, k_v=1021)  # 2**1020: plain, near the range edge
 @example(times=[-1.0, 1.0], values=[1.0] * 64, k_t=1023, k_v=-100)  # a step past the range, not the integral
+@example(times=[0.0, 0.125], values=[1.0] * 64, k_t=0, k_v=1023)  # a pair sum past the range, not the integral
 @example(times=[-1.0, 1.0], values=[-1.0] * 64, k_t=1023, k_v=1023)  # past the range, negative
 @given(
     times=st.lists(_UNIT_SAMPLES, min_size=2, max_size=64, unique=True).map(sorted),
@@ -501,13 +504,16 @@ def test_pulse_integral_is_the_plain_trapezoid_wherever_that_is_finite(times, va
 
 
 def test_random_pulse_integrals_are_the_scaled_trapezoid():
-    # 2-64 samples drawn as for the property above, log-uniform in magnitude;
-    # k_t uniform, and k_v uniform on every other draw, else within 4 of where
-    # max|t| * max|v| * n reaches 2**1021, so that many plain sums are finite
-    # with shifts > 0. CI draws 20,000
+    # 2-64 samples drawn as for the property above, log-uniform in magnitude,
+    # k_t uniform, in three kinds of draw by turns. Uniform: k_v uniform too.
+    # Near the range edge: k_v within 4 of where max|t| * max|v| * n reaches
+    # 2**1021, so that many plain trapezoids are finite there. Pair overflow:
+    # two neighbouring values of one sign set to +-1 and k_v = 1023, so their
+    # pair sum is +-2**1024, past the range, while k_t keeps every time below
+    # 2**-3 and so the integral below 2**1021. CI draws 20,000
     seed, count = sweep(500, 20_000)
     rng = np.random.default_rng(seed)
-    finite_and_shifted = 0
+    plain_near_edge = framed_and_finite = 0
 
     def samples(n):
         u = rng.uniform(-1.0, 1.0, n) * 2.0 ** -rng.integers(0, 61, n)
@@ -518,14 +524,23 @@ def test_random_pulse_integrals_are_the_scaled_trapezoid():
         if times.size < 2:
             continue
         values = samples(times.size)
-        # the exponents of max|t| * 2**k_t, max|v| * 2**k_v and n: past 1021 in sum, the integral's shifts are > 0
-        exponent = sum(math.frexp(np.abs(a).max())[1] for a in (times, values)) + times.size.bit_length()
+        e_t = math.frexp(np.abs(times).max())[1]
         k_t = int(rng.integers(-200, 1024))
-        near = 1021 - exponent - k_t + int(rng.integers(-4, 5))
-        k_v = int(rng.integers(-200, 1024)) if i % 2 else min(max(near, -200), 1023)
+        if i % 3 == 0:
+            k_v = int(rng.integers(-200, 1024))
+        elif i % 3 == 1:
+            exponent = e_t + math.frexp(np.abs(values).max())[1] + times.size.bit_length()
+            k_v = min(max(1021 - exponent - k_t + int(rng.integers(-4, 5)), -200), 1023)
+        else:
+            j = int(rng.integers(0, times.size - 1))
+            values[j : j + 2] = rng.choice([-1.0, 1.0])
+            k_t, k_v = max(-e_t - 3 - int(rng.integers(0, 100)), -200), 1023
         try:
-            finite = _scaled_pulse_integral_holds(times, values, k_t, k_v)
+            plain = _scaled_pulse_integral_holds(times, values, k_t, k_v)
         except Exception as exc:
             raise AssertionError(f"draw {i}, seed {seed}: n={times.size}, k_t={k_t}, k_v={k_v}") from exc
-        finite_and_shifted += finite and exponent + k_t + k_v > 1021
-    assert finite_and_shifted > count // 10
+        # the scaled integral lies below 2**e: finite for e <= 1024
+        e = math.frexp(np.trapezoid(values, times))[1] + k_t + k_v
+        plain_near_edge += plain and e > 1000
+        framed_and_finite += not plain and e <= 1024
+    assert plain_near_edge > count // 10 and framed_and_finite > count // 10

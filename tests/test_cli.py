@@ -855,6 +855,18 @@ def test_fringes_position_axis_after_flight(capsys):
     assert report["pattern_interval"] is not None  # flight opens the x pattern
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 2: the comb is fitted to the total curve, slit humps included")
+def test_fringes_position_period_of_the_interference_comb(capsys):
+    # the comb period on the normalized X axis is 2 pi (A**2 + 1) / (2 A D),
+    # with D = d / x0 and A = alpha hbar / x0**2: 1.960 here
+    x0, d, hbar, alpha = 0.456, 2.95, 0.56, 1.40
+    assert run("fringes", "--axis", "position", f"--x0={x0}", f"--d={d}", f"--hbar={hbar}",
+               f"--alpha={alpha}", "--nx", "245", "--np", "245") == 0
+    big_d, big_a = d / x0, alpha * hbar / x0**2
+    period = 2 * math.pi * (big_a**2 + 1) / (2 * big_a * big_d)
+    assert json.loads(capsys.readouterr().out)["period_estimate"] == pytest.approx(period, rel=1e-2)
+
+
 def test_fringes_momentum_pattern_is_flight_invariant(capsys):
     # the momentum density does not change in free flight, so neither does its pattern
     intervals = []
@@ -1010,6 +1022,11 @@ def test_phase_flux(capsys):
     assert capsys.readouterr().out.strip() == "6.28318530718"
     assert run("phase", "--flux", "0", "--flux-quantum", "1") == 0
     assert capsys.readouterr().out.strip() == "0"
+    # the ratio first: 2 pi * 1e-320 is subnormal, and 2 pi * 1e308 overflows
+    assert run("phase", "--flux", "1e-320", "--flux-quantum", "1e-320") == 0
+    assert capsys.readouterr() == ("6.28318530718\n", "")
+    assert run("phase", "--flux", "1e308", "--flux-quantum", "1e10") == 0
+    assert capsys.readouterr() == ("6.28318530718e+298\n", "")
 
 
 def _pulse_file(path, rows):
