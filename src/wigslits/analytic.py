@@ -89,20 +89,35 @@ class PulseSeries:
     def integral(self) -> float:
         """Trapezoid integral of the sampled pulse; exact for piecewise-linear pulses.
 
-        ``np.trapezoid(values, times)`` wherever that is finite. Where it overflows,
-        the trapezoid of the times and values scaled by the powers of two that put
-        max|t| and max|v| in [0.5, 1), where no step or pair sum reaches 2, scaled
-        back; +-inf only past the float range.
+        ``np.trapezoid(values, times)`` wherever that is finite, subnormal steps
+        included. Elsewhere the trapezoid of the times and values scaled down by
+        powers of two, scaled back; +-inf only past the float range. The times
+        are halved only if a step overflows, the values only if a pair sum does.
+        The largest term (step times pair sum), with room for the sum of all of
+        them, sets any further shift, split so that the smallest step and the
+        smallest nonzero pair sum keep the most room above the normal range: a
+        step or value far below the largest keeps its term. Only a term whose
+        scaled step, pair sum or product is subnormal can lose bits.
         """
         t, v = self.times, self.values
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.trapezoid(v, t)
-        if math.isfinite(total):
-            return float(total)
-        e_t, e_v = math.frexp(np.abs(t).max())[1], math.frexp(np.abs(v).max())[1]
-        total = np.trapezoid(np.ldexp(v, -e_v), np.ldexp(t, -e_t))
+            if math.isfinite(total):
+                return float(total)
+            shift_t = int(not np.isfinite(np.diff(t)).all())
+            shift_v = int(not np.isfinite(v[1:] + v[:-1]).all())
+        scaled = np.ldexp(v, -shift_v)
+        steps, sums = np.diff(np.ldexp(t, -shift_t)), scaled[1:] + scaled[:-1]
+        live = sums != 0  # a zero pair sum makes a zero term at any step
+        if live.any():
+            e_step, e_sum = np.frexp(steps[live])[1], np.frexp(sums[live])[1]
+            # each term below 2**(e_step + e_sum), and the n - 1 of them summed below 2**1023
+            extra = max(0, int((e_step + e_sum).max()) + (t.size - 1).bit_length() - 1024)
+            cut_t = min(max((extra + int(e_step.min()) - int(e_sum.min())) // 2, 0), extra)
+            shift_t, shift_v = shift_t + cut_t, shift_v + extra - cut_t
+        total = np.trapezoid(np.ldexp(v, -shift_v), np.ldexp(t, -shift_t))
         try:
-            return math.ldexp(total, e_t + e_v)
+            return math.ldexp(total, shift_t + shift_v)
         except OverflowError:
             return math.copysign(math.inf, total)
 

@@ -450,11 +450,31 @@ def test_pulse_trapezoid_matches_numpy_reference():
 
 
 def test_pulse_integral_keeps_a_subnormal_step():
-    # the plain trapezoid is finite, so it is the integral: framed to max|t| in
-    # [0.5, 1), the 3 * 2**-1074 step would round to 0 and flush its term
+    # the plain trapezoid is finite, so it is the integral: shifts sized from
+    # max|t| * max|v| * n (2 and 1004) would round the 3 * 2**-1074 step to
+    # 2**-1074 and flush its term to 0
     t = np.array([0.0, 3 * 2.0**-1074, 2.0**1023])
     v = np.array([2.0**1000, 1.0, -1.0])
     assert PulseSeries(times=t, values=v).integral() == np.trapezoid(v, t) == 7.940933880509066e-23
+
+
+@pytest.mark.parametrize(
+    "times, values, want",
+    [
+        # the first pair sum overflows; the 2**-100 step carries the whole integral
+        ([0.0, 2.0**-100, 2.0**1000], [2.0**1023, 2.0**1023, -(2.0**1023)], 2.0**923),
+        # the first pair sum overflows; the 2**-60 value carries the integral
+        ([0.0, 2.0**-1000, 2.0**-999, 2.0**1000], [2.0**1023, 2.0**1023, 0.0, 2.0**-60], 2.0**939),
+    ],
+    ids=["small-step", "small-value"],
+)
+def test_pulse_integral_past_a_pair_overflow_keeps_small_terms(times, values, want):
+    # the plain trapezoid is inf; scaled so that max|t| and max|v| lie in
+    # [0.5, 1), the step or value that carries the integral would flush to 0
+    t, v = np.array(times), np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.trapezoid(v, t) == math.inf
+    assert PulseSeries(times=t, values=v).integral() == want
 
 
 def _scaled_pulse_integral_holds(times, values, k_t, k_v):
@@ -513,7 +533,7 @@ def test_random_pulse_integrals_are_the_scaled_trapezoid():
     # 2**-3 and so the integral below 2**1021. CI draws 20,000
     seed, count = sweep(500, 20_000)
     rng = np.random.default_rng(seed)
-    plain_near_edge = framed_and_finite = 0
+    plain_near_edge = scaled_and_finite = 0
 
     def samples(n):
         u = rng.uniform(-1.0, 1.0, n) * 2.0 ** -rng.integers(0, 61, n)
@@ -542,5 +562,5 @@ def test_random_pulse_integrals_are_the_scaled_trapezoid():
         # the scaled integral lies below 2**e: finite for e <= 1024
         e = math.frexp(np.trapezoid(values, times))[1] + k_t + k_v
         plain_near_edge += plain and e > 1000
-        framed_and_finite += not plain and e <= 1024
-    assert plain_near_edge > count // 10 and framed_and_finite > count // 10
+        scaled_and_finite += not plain and e <= 1024
+    assert plain_near_edge > count // 10 and scaled_and_finite > count // 10
