@@ -39,10 +39,6 @@ __all__ = [
 # washed-out outer fringes from skewing the initial period estimate.
 _MIN_PROMINENCE = 0.05
 
-# Candidate peaks whose bases _prominent_peaks seeks together: its
-# temporaries hold this many rows of the curve's length.
-_PEAK_CHUNK = 64
-
 # Support level of the pattern interval, as a fraction of each curve's max: a
 # single-slit projection exp(-(u/w)^2) counts within three widths w of its center.
 _PATTERN_LEVEL = math.exp(-9)
@@ -93,14 +89,15 @@ def _framed_maxima(curve: MarginalCurve) -> List[float]:
 def _prominent_peaks(values: np.ndarray, floor: float) -> List[int]:
     """Indices of the peaks of non-empty, finite ``values`` whose prominence is >= ``floor``.
 
-    Same result as ``scipy.signal.find_peaks(values, prominence=floor)[0]``:
-    a peak rises strictly from its left neighbour and falls strictly to its
-    right one, and a flat top counts once, at its middle index rounded
-    down. Prominence is the height above the higher of the two minima found
-    on each side before the curve rises above the peak or ends.
+    Same result as ``scipy.signal.find_peaks(values, prominence=floor)[0]``, by
+    scipy's own scan: a peak rises strictly from its left neighbour and falls
+    strictly to its right one, and a flat top counts once, at its middle index
+    rounded down. Its prominence is its height above the higher of the two
+    minima of the stretches that reach from it, on each side, to the nearest
+    sample above its top or to the curve's end. Each peak's search holds O(n)
+    scratch while it runs, one peak at a time, so the time is O(peaks * n).
     """
     x = np.asarray(values, dtype=float)
-    n = x.size
     # Steps between runs of equal samples; the run [lo, hi] between two steps
     # is a peak when the step into it rises and the step out of it falls.
     step = np.diff(x)
@@ -111,25 +108,19 @@ def _prominent_peaks(values: np.ndarray, floor: float) -> List[int]:
     # The prominence is at most top - lowest (rounding is monotone), so this
     # drops peaks that cannot reach the floor, such as roundoff ripples in
     # the tails, before their bases are sought.
-    top = x[lo]
-    keep = top - x.min() >= floor
-    lo, hi, top = lo[keep], hi[keep], top[keep]
-    # Each base reaches from the peak to the nearest sample above its top on
-    # that side, exclusive, or to the end: a chunk of peaks at a time, on the
-    # curve between +inf sentinels (padded[j + 1] = x[j]).
-    padded = np.concatenate(([np.inf], x, [np.inf]))
-    cols = np.arange(n + 2)
-    start, stop = np.empty_like(lo), np.empty_like(lo)
-    for c in range(0, lo.size, _PEAK_CHUNK):
-        chunk = slice(c, c + _PEAK_CHUNK)
-        above = padded > top[chunk, None]
-        start[chunk] = n + 1 - np.argmax((above & (cols <= lo[chunk, None]))[:, ::-1], axis=1)
-        stop[chunk] = np.argmax(above & (cols > hi[chunk, None] + 1), axis=1) - 1
-    # the minima of x[start:lo] and x[hi + 1:stop], both non-empty; the
-    # segments reduceat forms between them go unused
-    minima = np.minimum.reduceat(padded[1:], np.column_stack([start, lo, hi + 1, stop]).ravel())
-    base = np.maximum(minima[0::4], minima[2::4])
-    return ((lo + hi) // 2)[top - base >= floor].tolist()
+    keep = x[lo] - x.min() >= floor
+    out = []
+    for a, b in zip(lo[keep].tolist(), hi[keep].tolist()):
+        top = x[a]
+        # the samples above the top, all outside [a, b]: the nearest on each
+        # side ends that side's stretch, and both stretches are non-empty
+        above = np.flatnonzero(x > top)
+        k = np.searchsorted(above, a)
+        start = above[k - 1] + 1 if k else 0
+        stop = above[k] if k < above.size else x.size
+        if top - max(x[start:a].min(), x[b + 1:stop].min()) >= floor:
+            out.append((a + b) // 2)
+    return out
 
 
 def _bounded_minimum(func: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:

@@ -99,7 +99,8 @@ def _write_csv(path: Path, header: str, values: np.ndarray, *axes: np.ndarray, s
 
 
 def _read_two_column_csv(path: str, expected_header: str) -> Tuple[np.ndarray, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with
+    lines = Path(path).read_text(encoding="utf-8-sig").strip().splitlines()
     if not lines or lines[0].strip() != expected_header:
         raise ValueError(f"{path}: expected header {expected_header!r}")
     first, second = [], []

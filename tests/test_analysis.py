@@ -28,6 +28,7 @@ from wigslits import (
 import wigslits.analysis
 from wigslits.analysis import _bounded_minimum, _prominent_peaks
 from sweeps import sweep
+from test_numeric import _traced_peak_bytes
 
 P_AXIS = Grid1D(min=-4.0, max=4.0, n=512)
 X_AXIS = Grid1D(min=-12.0, max=12.0, n=512)
@@ -101,13 +102,51 @@ _FLOORS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), st.flo
 @given(values=_PEAK_INPUTS, floor=_FLOORS)
 # Both peaks have prominence 2: each base scan must pass the other, equal peak.
 @example(values=[0, 2, 1, 2, 0], floor=1.5)
-# Over one chunk of base searches: equal peaks, bases across chunks, random.
+# Hundreds of peaks: equal peaks, bases reaching past earlier peaks, random ties.
 @example(values=[0.0, 1.0] * 100 + [0.0], floor=0.5)
 @example(values=[v for i in range(150) for v in (i, i + 2)], floor=1.0)
 @example(values=np.random.default_rng(0).normal(size=400).round(1).tolist(), floor=1.0)
 def test_prominent_peaks_match_scipy_find_peaks(values, floor):
     x = np.asarray(values, dtype=float)
     assert _prominent_peaks(x, floor) == list(find_peaks(x, prominence=floor)[0])
+
+
+def test_prominent_peaks_of_a_long_comb_hold_no_peak_by_sample_matrix():
+    # one search at a time holds a mask and the indices above one top, about
+    # 28 bytes a sample here; masks of 48 peaks held at once would reach the bound
+    t = np.linspace(-1.0, 1.0, 200_000)
+    x = np.cos(20 * np.pi * t) ** 2 * np.exp(-4 * t * t)
+    floor = 0.05 * x.max()
+    found = []
+    peak = _traced_peak_bytes(lambda: found.extend(_prominent_peaks(x, floor)))
+    assert found == list(find_peaks(x, prominence=floor)[0]) and len(found) == 35
+    assert peak < 48 * x.size
+
+
+def _long_curve(rng):
+    # a rounded random walk (ties, plateaus, equal peaks), or a noisy comb of
+    # tens to hundreds of fringes under a Gaussian envelope; 200-5,000 samples
+    n = int(rng.integers(200, 5001))
+    if rng.random() < 0.5:
+        return np.round(rng.normal(size=n).cumsum(), int(rng.integers(0, 3)))
+    t = np.linspace(-1.0, 1.0, n)
+    fringes = rng.uniform(10, min(300, n / 8))
+    comb = np.cos(np.pi * fringes * t / 2 + rng.uniform(0, np.pi)) ** 2 * np.exp(-((t / rng.uniform(0.3, 2)) ** 2))
+    return np.round(comb + rng.uniform(0, 0.1) * rng.normal(size=n), int(rng.integers(2, 5)))
+
+
+def test_random_long_curves_match_scipy_find_peaks():
+    # floors log-uniform over the three decades below each curve's range, rounded
+    # to 2 decimals like many of the samples, so that some prominences equal
+    # the floor. CI draws 2,000 curves
+    seed, count = sweep(100, 2_000)
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        x = _long_curve(rng)
+        floor = round(float(np.ptp(x) * 10 ** rng.uniform(-3, 0)), 2)
+        found = _prominent_peaks(x, floor)
+        if found != list(find_peaks(x, prominence=floor)[0]):
+            raise AssertionError(f"draw {i}, seed {seed}: {x.size} samples, floor {floor!r}")
 
 
 @settings(max_examples=200)

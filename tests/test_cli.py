@@ -977,6 +977,24 @@ def test_fringes_roundtrip_through_files(tmp_path, capsys):
     assert report["pattern_interval"] is None
 
 
+def _add_byte_order_mark(path):
+    # as spreadsheet "CSV UTF-8" exports begin
+    path = Path(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return str(path)
+
+
+def test_fringes_reads_curve_files_with_a_byte_order_mark(tmp_path, capsys):
+    common = ["--d", "5", "--nx", "64", "--np", "256"]
+    assert run("simulate", *common, "--delta", "4", "--out", str(tmp_path / "d4")) == 0
+    assert run("simulate", *common, "--delta", "0", "--out", str(tmp_path / "d0")) == 0
+    curve, reference = (tmp_path / d / "pmarginal.csv" for d in ("d4", "d0"))
+    assert run("fringes", "--curve", str(curve), "--reference", str(reference)) == 0
+    plain = capsys.readouterr().out
+    assert run("fringes", "--curve", _add_byte_order_mark(curve), "--reference", _add_byte_order_mark(reference)) == 0
+    assert capsys.readouterr() == (plain, "")
+
+
 def test_fringes_to_file(tmp_path, capsys):
     # --out writes the bytes stdout would get
     argv = ["fringes", "--axis", "momentum", "--delta", "4"]
@@ -1041,6 +1059,13 @@ def test_phase_electric(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
     assert run("phase", "--electric", zero, one, "--scale", "1") == 0
     assert capsys.readouterr().out.strip() == "-1"
+
+
+def test_phase_electric_reads_pulse_files_with_a_byte_order_mark(tmp_path, capsys):
+    one = _add_byte_order_mark(_pulse_file(tmp_path / "one.csv", [(0.0, 1.0), (1.0, 1.0)]))
+    zero = _add_byte_order_mark(_pulse_file(tmp_path / "zero.csv", [(0.0, 0.0), (1.0, 0.0)]))
+    assert run("phase", "--electric", one, zero, "--scale", "1") == 0
+    assert capsys.readouterr() == ("1\n", "")
 
 
 def test_phase_neutron(tmp_path, capsys):
