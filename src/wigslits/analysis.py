@@ -2,10 +2,12 @@
 
 Peak positions come from local maxima refined by a 3-point quadratic fit.
 The maxima are selected by topographic prominence with the rules of
-``scipy.signal.find_peaks``, and the comb frequency is the maximum of a
-windowed Fourier magnitude found by Brent's bounded search, the iteration
-of ``scipy.optimize.fminbound``. Both are reimplemented here on numpy and
-the standard library, so importing the package does not import scipy.
+``scipy.signal.find_peaks``, reimplemented here on numpy, so importing the
+package does not import scipy. The comb frequency is the maximum of a
+windowed Fourier magnitude: a golden-section search brackets it to a
+quarter of the Hann main lobe's half-width, and Newton steps on the
+magnitude's derivative polish it, so that delta and delta + 2 pi, one flux
+quantum apart, give the same report (see :func:`_comb_frequency`).
 
 Raw peak positions of a fringe comb under a varying envelope are biased
 toward the envelope center (the multiplicative envelope pulls every local
@@ -123,104 +125,36 @@ def _prominent_peaks(values: np.ndarray, floor: float) -> List[int]:
     return out
 
 
-def _bounded_minimum(func: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of ``func`` on [lo, hi] by Brent's bounded search.
+def _windowed_component(curve: MarginalCurve) -> Callable[..., np.ndarray]:
+    """(omega, k=0) -> [S_0 .. S_k], S_j = sum of w u**j exp(-i omega u), w the Hann-windowed curve.
 
-    Golden-section steps accelerated by parabolic interpolation (Brent,
-    "Algorithms for Minimization without Derivatives", 1973), stopping when
-    the bracket half-width falls to 2 * tol1, with tol1 = sqrt(2.2e-16) *
-    |x| + xatol / 3 at the best point x, or after 500 evaluations. This is
-    the iteration of ``scipy.optimize.fminbound`` (``minimize_scalar(method=
-    "bounded")``, BSD-licensed, from which it is adapted) and returns the
-    same ``x`` bit for bit. Its relative stopping term matters here: the comb magnitude is
-    flat to the last bit within ~1e-8 of its maximum, where a search run
-    down to ``xatol`` alone would follow roundoff.
+    S_0 is the curve's windowed Fourier component F and (-i)**j S_j its j-th
+    omega-derivative. u runs from the window's center, which moves neither
+    |F| nor the phase difference of two curves at one omega, and keeps the
+    sums small. The moments w u**j are formed once: one exp a call.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # Parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc).
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0 else xf - step
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
-
-
-def _windowed_component(curve: MarginalCurve) -> Callable[[float], complex]:
-    """omega -> the curve's Hann-windowed Fourier component, with window * values formed once."""
     # Hann window: zero value and slope at the edges, so grid truncation of
     # a non-decayed envelope does not leak into the comb phase.
-    g = curve.grid.points()
-    windowed = np.hanning(curve.grid.n) * curve.values
-    spacing = curve.grid.spacing
-    return lambda omega: complex(np.sum(windowed * np.exp(-1j * omega * g)) * spacing)
+    grid = curve.grid
+    u = grid.points() - (grid.min + grid.max) / 2
+    windowed = np.hanning(grid.n) * curve.values
+    moments = np.stack([windowed, windowed * u, windowed * u * u])
+    return lambda omega, k=0: (moments[: k + 1] * np.exp(-1j * omega * u)).sum(axis=1)
 
 
-def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) -> Optional[float]:
+def _comb_frequency(component: Callable[..., np.ndarray], maxima: List[float], length: float) -> Optional[float]:
     """Angular frequency of the fringe comb, or None below 3 maxima.
 
-    Seeded by the median spacing of ``maxima``, the curve's prominent maxima
-    as the caller found them, then refined by maximizing the magnitude of
-    ``component``, the curve's windowed Fourier component, which is immune
-    to the envelope pull on individual peak positions.
+    Seeded by the median spacing of ``maxima``, the curve's prominent maxima,
+    and refined to the maximum of |F|, F the curve's windowed ``component``,
+    which is immune to the envelope pull on individual peaks. A golden-section
+    search on [0.7, 1.3] x seed stops at a bracket pi / ``length`` wide, a
+    quarter of the Hann main lobe's half-width. Its comparisons are decided
+    far above roundoff, save near-ties, after which either part still holds
+    the maximum, so curves that differ by roundoff, as delta and delta + 2 pi
+    do, end around the same maximum. Newton steps on d|F|**2/domega = 0 in
+    that bracket, while the step shrinks, then land on the root to a few
+    ulps, where |F| itself is flat to the last bit over ~1e-8 relative.
     """
     if len(maxima) < 3:
         return None
@@ -229,7 +163,29 @@ def _comb_frequency(component: Callable[[float], complex], maxima: List[float]) 
     mid = len(gaps) // 2
     median_gap = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
     omega0 = 2 * np.pi / median_gap
-    return _bounded_minimum(lambda om: -abs(component(om)), 0.7 * omega0, 1.3 * omega0, 1e-12 * omega0)
+    a, b = 0.7 * omega0, 1.3 * omega0
+    r = (math.sqrt(5.0) - 1) / 2
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = abs(component(c)[0]), abs(component(d)[0])
+    while b - a > np.pi / length:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = abs(component(c)[0])
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = abs(component(d)[0])
+    omega, last = (c if fc >= fd else d), math.inf
+    while True:
+        s0, s1, s2 = component(omega, 2)
+        # d|F|**2/domega and its derivative, over 2
+        slope, curvature = (s0.conjugate() * s1).imag, abs(s1) ** 2 - (s0.conjugate() * s2).real
+        # a Newton step where |F|**2 is concave, else to the bracket's end uphill
+        new = min(max(omega - slope / curvature, a), b) if curvature < 0 else (b if slope > 0 else a)
+        if not 0 < abs(new - omega) < last:
+            return omega
+        omega, last = new, abs(new - omega)
 
 
 def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
@@ -271,7 +227,8 @@ def fringe_report(
     if not maxima or not ref_maxima:
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
     component, ref_component = _windowed_component(curve), _windowed_component(reference)
-    omega, ref_omega = _comb_frequency(component, maxima), _comb_frequency(ref_component, ref_maxima)
+    length = curve.grid.max - curve.grid.min
+    omega, ref_omega = _comb_frequency(component, maxima, length), _comb_frequency(ref_component, ref_maxima, length)
     period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
     if ref_omega is None:
         # the envelope centroid: the reference has a maximum, so its mass is > 0
@@ -279,7 +236,7 @@ def fringe_report(
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
         shift = min(maxima, key=lambda m: abs(m - m_ref)) - m_ref
     else:
-        dphi = np.angle(ref_component(ref_omega)) - np.angle(component(ref_omega))
+        dphi = np.angle(ref_component(ref_omega)[0]) - np.angle(component(ref_omega)[0])
         shift = float(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega)
     return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, math.ldexp(shift, -j), pattern_interval)
 

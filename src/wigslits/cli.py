@@ -46,7 +46,7 @@ from .analytic import (
     single_slit_marginal,
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
-from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams, _unit_scenario
+from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams, _require_finite, _unit_scenario
 from .numeric import DEFAULT_EDGE_DECAY_TOL
 
 # not called here: perfbench/selftest.py checks that the benchmark's tracer
@@ -177,7 +177,7 @@ def cmd_simulate(args) -> int:
 
 def _fringes_curves_from_params(args) -> Tuple[MarginalCurve, MarginalCurve, Optional[Tuple[float, float]]]:
     params = _unit_scenario(_params_from_args(args))
-    reference_params = dataclasses.replace(params, delta=args.ref_delta)
+    reference_params = dataclasses.replace(params, delta=_require_finite("--ref-delta", args.ref_delta))
     x_axis, p_axis = _grids(args)
     # a report reads levels relative to each curve's peak: the unit curves need no prefactor
     axis, density = (p_axis, momentum_marginal) if args.axis == "momentum" else (x_axis, position_marginal_propagated)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
 from wigslits import (
@@ -13,6 +12,7 @@ from wigslits import (
     Grid1D,
     Grid2D,
     MarginalCurve,
+    SlitPairParams,
     common_projection_interval,
     common_support_interval,
     field_marginal,
@@ -26,7 +26,7 @@ from wigslits import (
     single_slit_marginal,
 )
 import wigslits.analysis
-from wigslits.analysis import _bounded_minimum, _prominent_peaks
+from wigslits.analysis import _prominent_peaks
 from sweeps import sweep
 from test_numeric import _traced_peak_bytes
 
@@ -34,8 +34,8 @@ P_AXIS = Grid1D(min=-4.0, max=4.0, n=512)
 X_AXIS = Grid1D(min=-12.0, max=12.0, n=512)
 
 
-def _p_curve(delta, grid=P_AXIS):
-    values = momentum_marginal(normalized_params(delta=delta), grid.points())
+def _p_curve(delta, grid=P_AXIS, d=5.0):
+    values = momentum_marginal(SlitPairParams(x0=1.0, d=d, delta=delta, hbar=1.0, alpha=0.0), grid.points())
     return MarginalCurve(axis_label="momentum", grid=grid, values=values)
 
 
@@ -149,24 +149,6 @@ def test_random_long_curves_match_scipy_find_peaks():
             raise AssertionError(f"draw {i}, seed {seed}: {x.size} samples, floor {floor!r}")
 
 
-@settings(max_examples=200)
-@given(
-    centre=st.floats(-2.0, 2.0),
-    curvature=st.floats(0.1, 5.0),
-    ripple=st.floats(0.0, 20.0),
-    lo=st.floats(-3.0, 0.0),
-    width=st.floats(1e-3, 5.0),
-    log_xatol=st.floats(-14.0, -2.0),
-)
-def test_bounded_minimum_matches_scipy_bit_for_bit(centre, curvature, ripple, lo, width, log_xatol):
-    def func(x):
-        return curvature * (x - centre) ** 2 + np.cos(ripple * x)
-
-    hi, xatol = lo + width, 10.0**log_xatol
-    want = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x
-    assert _bounded_minimum(func, lo, hi, xatol) == want
-
-
 # ---------------------------------------------------------------- period
 
 
@@ -223,6 +205,13 @@ def test_fringe_shift_linear_in_delta():
 def test_fringe_shift_periodicity():
     assert abs(fringe_shift(_p_curve(2 * math.pi), _p_curve(0.0))) <= 1e-6
     assert abs(fringe_shift(_p_curve(2 * math.pi + 4.0), _p_curve(4.0))) <= 1e-6
+    # off the default scenario, delta and delta + 2 pi give the same report:
+    # periods 2.1e-8 apart when the comb search stopped on the magnitude's flat top
+    grid = Grid1D(min=-4.0, max=4.0, n=345)
+    reference = _p_curve(0.0, grid, d=2.2)
+    report, shifted = (fringe_report(_p_curve(delta, grid, d=2.2), reference) for delta in (1.46, 1.46 + 2 * math.pi))
+    assert shifted.period_estimate == pytest.approx(report.period_estimate, abs=1e-12)
+    assert shifted.shift_vs_reference == pytest.approx(report.shift_vs_reference, abs=1e-12)
 
 
 def test_fringe_shift_requires_matching_grids():

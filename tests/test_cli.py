@@ -949,6 +949,59 @@ def test_fringes_full_turn_gives_zero_shift(capsys):
     assert abs(report["shift_vs_reference"]) <= 1e-6
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_fringes_non_finite_ref_delta_names_its_flag(capsys, value):
+    assert run("fringes", "--axis", "momentum", "--ref-delta", value) == 2
+    assert f"--ref-delta must be finite, got {value}" in capsys.readouterr().err
+
+
+def _report_numbers(report):
+    return [*report["maxima"], report["period_estimate"], report["shift_vs_reference"],
+            *(report["pattern_interval"] or [None])]
+
+
+def _flux_periodic(axis, alpha, d, n, delta, draw=""):
+    # a parameter-mode report at delta and one flux quantum on, delta + 2 pi:
+    # both exit alike, and the reports agree number by number within 1e-12
+    # (the benchmark's PERIODIC_TOL)
+    argv = ["fringes", "--axis", axis, "--alpha", repr(alpha), "--d", repr(d), "--nx", str(n), "--np", str(n)]
+    request = f"{draw}wigslits {' '.join(argv)} --delta={delta!r} and {delta + 2 * math.pi!r}"
+    (code, out, _), (shifted_code, shifted_out, _) = (_captured([*argv, f"--delta={x!r}"])
+                                                      for x in (delta, delta + 2 * math.pi))
+    assert code == shifted_code, f"{request}: exit {code} and {shifted_code}"
+    if code == 0:
+        a, b = (_report_numbers(json.loads(text)) for text in (out, shifted_out))
+        assert [x is None for x in a] == [y is None for y in b], request
+        worst = max((abs(x - y) for x, y in zip(a, b) if x is not None), default=0.0)
+        assert worst <= 1e-12, f"{request}: reports differ by {worst:.2e}"
+
+
+@settings(max_examples=50, deadline=None)
+# periods 7.258979040508206 and 7.258979148180867 when the comb search stopped on |F|'s flat top
+@example(axis="position", alpha=8.542933818246997, d=3.7792952204595185, n=330, delta=2.775729406866822)
+@given(
+    axis=st.sampled_from(["momentum", "position"]),
+    alpha=st.one_of(st.just(0.0), st.floats(0.5, 10)),
+    d=st.floats(2, 7),
+    n=st.integers(64, 699),
+    delta=st.floats(-math.pi, math.pi),
+)
+def test_fringe_reports_are_flux_periodic(axis, alpha, d, n, delta):
+    _flux_periodic(axis, alpha, d, n, delta)
+
+
+def test_random_fringe_reports_are_flux_periodic():
+    # the axes alternate; alpha 0 in half the draws and uniform on [0.5, 10]
+    # otherwise, d uniform on [2, 7], nx = np on [64, 700) and delta uniform
+    # on [-pi, pi). CI draws 5,000
+    seed, count = sweep(200, 5_000)
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 10))
+        d, n, delta = float(rng.uniform(2, 7)), int(rng.integers(64, 700)), float(rng.uniform(-math.pi, math.pi))
+        _flux_periodic(("momentum", "position")[i % 2], alpha, d, n, delta, f"draw {i}, seed {seed}: ")
+
+
 def _assert_report_layout(text):
     # the report's fields in declaration order, 2-space indent, one trailing newline
     report = json.loads(text)
