@@ -142,8 +142,10 @@ def _windowed_component(curve: MarginalCurve) -> Callable[..., np.ndarray]:
     return lambda omega, k=0: (moments[: k + 1] * np.exp(-1j * omega * u)).sum(axis=1)
 
 
-def _comb_frequency(component: Callable[..., np.ndarray], maxima: List[float], length: float) -> Optional[float]:
-    """Angular frequency of the fringe comb, or None below 3 maxima.
+def _comb_frequency(
+    component: Callable[..., np.ndarray], maxima: List[float], length: float
+) -> Tuple[Optional[float], bool]:
+    """Angular frequency of the fringe comb, or None below 3 maxima; and whether it is a bracket end.
 
     Seeded by the median spacing of ``maxima``, the curve's prominent maxima,
     and refined to the maximum of |F|, F the curve's windowed ``component``,
@@ -155,15 +157,16 @@ def _comb_frequency(component: Callable[..., np.ndarray], maxima: List[float], l
     do, end around the same maximum. Newton steps on d|F|**2/domega = 0 in
     that bracket, while the step shrinks, then land on the root to a few
     ulps, where |F| itself is flat to the last bit over ~1e-8 relative.
+    A search that ends on 0.7 or 1.3 x seed found no maximum inside.
     """
     if len(maxima) < 3:
-        return None
+        return None, False
     # the median gap by hand: np.median imports numpy.ma in every fresh process
     gaps = sorted(np.diff(maxima).tolist())
     mid = len(gaps) // 2
     median_gap = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
     omega0 = 2 * np.pi / median_gap
-    a, b = 0.7 * omega0, 1.3 * omega0
+    ends = a, b = 0.7 * omega0, 1.3 * omega0
     r = (math.sqrt(5.0) - 1) / 2
     c, d = b - r * (b - a), a + r * (b - a)
     fc, fd = abs(component(c)[0]), abs(component(d)[0])
@@ -184,7 +187,7 @@ def _comb_frequency(component: Callable[..., np.ndarray], maxima: List[float], l
         # a Newton step where |F|**2 is concave, else to the bracket's end uphill
         new = min(max(omega - slope / curvature, a), b) if curvature < 0 else (b if slope > 0 else a)
         if not 0 < abs(new - omega) < last:
-            return omega
+            return omega, omega in ends
         omega, last = new, abs(new - omega)
 
 
@@ -212,9 +215,10 @@ def fringe_report(
     """Report of ``curve`` against ``reference``, with each curve's maxima, component and comb found once.
 
     The period is the fringe spacing 2 pi / (the curve's comb frequency),
-    None below 3 maxima. The shift is positive when the fringes moved toward
-    the positive axis. It is the comb phase difference at the reference comb
-    frequency, mapped to the displacement window [-P/4, 3P/4) of the
+    None below 3 maxima or where its search ended on its bracket. The shift
+    is positive when the fringes moved toward the positive axis. It is the
+    comb phase difference at the reference comb frequency (an end of its
+    bracket too), mapped to the displacement window [-P/4, 3P/4) of the
     reference period P: a comb is only defined modulo its period, and the
     window is biased toward positive displacements to match the sign
     convention. When the reference has too few fringes to carry a comb, the
@@ -228,8 +232,9 @@ def fringe_report(
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
     component, ref_component = _windowed_component(curve), _windowed_component(reference)
     length = curve.grid.max - curve.grid.min
-    omega, ref_omega = _comb_frequency(component, maxima, length), _comb_frequency(ref_component, ref_maxima, length)
-    period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
+    omega, at_end = _comb_frequency(component, maxima, length)
+    ref_omega, _ = _comb_frequency(ref_component, ref_maxima, length)
+    period = None if omega is None or at_end else math.ldexp(2 * np.pi / omega, -j)
     if ref_omega is None:
         # the envelope centroid: the reference has a maximum, so its mass is > 0
         centroid = (reference.values * reference.grid.points()).sum() / reference.values.sum()

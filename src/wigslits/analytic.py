@@ -90,36 +90,22 @@ class PulseSeries:
         """Trapezoid integral of the sampled pulse; exact for piecewise-linear pulses.
 
         ``np.trapezoid(values, times)`` wherever that is finite, subnormal steps
-        included. Elsewhere the trapezoid of the times and values scaled down by
-        powers of two, scaled back; +-inf only past the float range. The times
-        are halved only if a step overflows, the values only if a pair sum does.
-        The largest term (step times pair sum), with room for the sum of all of
-        them, sets any further shift, split so that the smallest step and the
-        smallest nonzero pair sum keep the most room above the normal range: a
-        step or value far below the largest keeps its term. Only a term whose
-        scaled step, pair sum or product is subnormal can lose bits.
+        included. Where a step, pair sum, term or partial sum overflows, the
+        same trapezoid summed exactly in rationals (every float is one) and
+        rounded once; +-inf only past the float range.
         """
-        t, v = self.times, self.values
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.trapezoid(v, t)
-            if math.isfinite(total):
-                return float(total)
-            shift_t = int(not np.isfinite(np.diff(t)).all())
-            shift_v = int(not np.isfinite(v[1:] + v[:-1]).all())
-        scaled = np.ldexp(v, -shift_v)
-        steps, sums = np.diff(np.ldexp(t, -shift_t)), scaled[1:] + scaled[:-1]
-        live = sums != 0  # a zero pair sum makes a zero term at any step
-        if live.any():
-            e_step, e_sum = np.frexp(steps[live])[1], np.frexp(sums[live])[1]
-            # each term below 2**(e_step + e_sum), and the n - 1 of them summed below 2**1023
-            extra = max(0, int((e_step + e_sum).max()) + (t.size - 1).bit_length() - 1024)
-            cut_t = min(max((extra + int(e_step.min()) - int(e_sum.min())) // 2, 0), extra)
-            shift_t, shift_v = shift_t + cut_t, shift_v + extra - cut_t
-        total = np.trapezoid(np.ldexp(v, -shift_v), np.ldexp(t, -shift_t))
+            total = np.trapezoid(self.values, self.times)
+        if math.isfinite(total):
+            return float(total)
+        from fractions import Fraction  # imports decimal: off the path of finite integrals
+
+        t, v = (list(map(Fraction, a.tolist())) for a in (self.times, self.values))
+        exact = sum((t1 - t0) * (v0 + v1) for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:])) / 2
         try:
-            return math.ldexp(total, shift_t + shift_v)
+            return float(exact)
         except OverflowError:
-            return math.copysign(math.inf, total)
+            return math.inf if exact > 0 else -math.inf
 
 
 @_float_range

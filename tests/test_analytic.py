@@ -482,23 +482,31 @@ def _scaled_pulse_integral_holds(times, values, k_t, k_v):
     # are 0 or at least 2**-60 and exponents in [-200, 1023]: every step, sum,
     # product and partial sum of the unscaled samples is a normal float, and
     # so is each of the pulse's wherever it is finite. Its integral is then
-    # the unscaled one times 2**(k_t + k_v), +-inf past the float range, and
-    # bit for bit the plain trapezoid wherever that is finite
+    # bit for bit the plain trapezoid, and the unscaled one times
+    # 2**(k_t + k_v), wherever the plain trapezoid is finite. Elsewhere it is
+    # the exact trapezoid rounded once. The unscaled samples are multiples of
+    # 2**-112, so their exact trapezoid is an integer times 2**-225, and a
+    # nonzero one, scaled, lies far above the subnormals: rounding then
+    # commutes with the scaling, and the integral is that integer rounded and
+    # scaled by 2**(k_t + k_v - 225), +-inf past the float range
     unscaled = np.trapezoid(values, times)
+    t, v = ([int(math.ldexp(u, 112)) for u in a.tolist()] for a in (times, values))
+    exact = sum((t1 - t0) * (v0 + v1) for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:]))
     times, values = np.ldexp(times, k_t), np.ldexp(values, k_v)
-    try:
-        want = math.ldexp(unscaled, k_t + k_v)
-    except OverflowError:
-        want = math.copysign(math.inf, unscaled)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = PulseSeries(times=times, values=values).integral()
-    assert got == want
     with np.errstate(over="ignore", invalid="ignore"):
         plain = np.trapezoid(values, times)
     if math.isfinite(plain):
-        assert got == plain
-    return math.isfinite(plain)
+        assert got == plain == math.ldexp(unscaled, k_t + k_v)
+        return True
+    try:
+        want = math.ldexp(float(exact), k_t + k_v - 225)
+    except OverflowError:
+        want = math.inf if exact > 0 else -math.inf
+    assert got == want
+    return False
 
 
 def _unit_sample(draw):

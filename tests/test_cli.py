@@ -37,6 +37,7 @@ import wigslits.cli
 import wigslits.numeric
 from wigslits import _floattext
 from wigslits.cli import _write_atomic, _write_csv, main
+import probes
 from sweeps import sweep
 from test_numeric import _traced_peak_bytes
 
@@ -84,6 +85,17 @@ def test_commands_writing_to_stdout_do_not_load_openssl():
     calls = [["phase", "--flux", "1", "--flux-quantum", "2"], ["fringes", "--axis", "momentum"],
              ["fringes", "--axis", "position"]]
     assert _fresh_process_modules(calls, "hashlib", "_hashlib") == "[]"
+
+
+def test_commands_do_not_import_fractions(tmp_path):
+    # only a pulse integral past the float range sums in fractions.Fraction,
+    # which imports decimal (~2.3 ms and ~0.4 MB in a fresh process)
+    paths = [tmp_path / "path1.csv", tmp_path / "path2.csv"]
+    for path, level in zip(paths, ("1", "0.5")):
+        path.write_text(f"t,value\n0,{level}\n1,{level}\n")
+    calls = [["phase", "--flux", "1", "--flux-quantum", "2"], ["fringes", "--axis", "momentum"],
+             ["phase", "--electric", *map(str, paths), "--scale", "2"]]
+    assert _fresh_process_modules(calls, "fractions", "decimal", "_decimal", "_pydecimal") == "[]"
 
 
 def test_fringes_does_not_import_numpy_ma():
@@ -1000,6 +1012,33 @@ def test_random_fringe_reports_are_flux_periodic():
         alpha = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 10))
         d, n, delta = float(rng.uniform(2, 7)), int(rng.integers(64, 700)), float(rng.uniform(-math.pi, math.pi))
         _flux_periodic(("momentum", "position")[i % 2], alpha, d, n, delta, f"draw {i}, seed {seed}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the comb search ends on 1.3 x its median-gap seed: the period would print as 2.456, not 2.236
+        ["--axis", "position", "--x0=0.6100676698408208", "--d=3.949893503799175", "--hbar=0.7063211386460541",
+         "--alpha=2.30745802168986", "--delta=4.925505584218196", "--nx", "232", "--np", "232"],
+        # the search ends on 0.7 x its seed: the period would print as 1.921, not pi / D = 1.677
+        ["--axis", "momentum", "--x0=2.049559197851855", "--d=3.8397690081086586", "--hbar=0.378990945600473",
+         "--alpha=122.97364672050637", "--delta=5.873129971450596", "--nx", "512", "--np", "512"],
+    ],
+    ids=["position", "momentum"],
+)
+def test_fringes_period_is_null_where_the_comb_search_ends_on_its_bracket(argv, capsys):
+    assert run("fringes", *argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["period_estimate"] is None and math.isfinite(report["shift_vs_reference"])
+
+
+def test_random_fringe_reports_print_no_bracket_end_period():
+    # P2's draws (tests/probes.py): a period within 1e-9 relative of 0.7 or
+    # 1.3 x the comb search's seed is an end of its bracket, not a
+    # measurement, and is reported as null. CI draws 5,000
+    seed, count = sweep(600, 5_000)
+    for i, draw in enumerate(probes.p2_draws(seed, count)):
+        assert not probes.at_bracket_end(probes.report(draw)), f"draw {i}, seed {seed}: {' '.join(draw.argv)}"
 
 
 def _assert_report_layout(text):
