@@ -8,6 +8,7 @@ injection, and quantitative fringe-shift measurement.
 __version__ = "0.1.0"
 
 from .analysis import (
+    FringeReport,
     common_projection_interval,
     common_support_interval,
     find_fringe_maxima,
@@ -31,7 +32,6 @@ from .analytic import (
 )
 from .errors import AnalysisError, ConventionViolationError, TruncationError
 from .model import (
-    FringeReport,
     Grid1D,
     Grid2D,
     MarginalCurve,

@@ -21,15 +21,17 @@ negligible for the Gaussian envelopes produced here.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import AnalysisError
-from .model import FringeReport, Grid1D, MarginalCurve, WignerField
+from .model import Grid1D, MarginalCurve, WignerField
 from .numeric import field_marginal
 
 __all__ = [
+    "FringeReport",
     "find_fringe_maxima",
     "fringe_shift",
     "fringe_report",
@@ -198,32 +200,38 @@ def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
         raise ValueError(f"curves lie on different axes: {curve1.axis_label!r}, {curve2.axis_label!r}")
 
 
-def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> float:
+def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> Optional[float]:
     """Signed displacement of the fringe comb of ``curve`` relative to ``reference``.
 
-    The shift of :func:`fringe_report`; the curves must share one grid and
-    one axis.
+    The shift of :func:`fringe_report`, so None where the reference's comb
+    search ended on its bracket; the curves must share one grid and one axis.
     """
     return fringe_report(curve, reference).shift_vs_reference
 
 
-def fringe_report(
-    curve: MarginalCurve,
-    reference: MarginalCurve,
-    pattern_interval: Optional[Tuple[float, float]] = None,
-) -> FringeReport:
+@dataclass(frozen=True)
+class FringeReport:
+    """Fringe structure of a marginal curve against a reference, as :func:`fringe_report` measures it."""
+
+    maxima: Tuple[float, ...]
+    period_estimate: Optional[float]
+    shift_vs_reference: Optional[float]
+
+
+def fringe_report(curve: MarginalCurve, reference: MarginalCurve) -> FringeReport:
     """Report of ``curve`` against ``reference``, with each curve's maxima, component and comb found once.
 
     The period is the fringe spacing 2 pi / (the curve's comb frequency),
     None below 3 maxima or where its search ended on its bracket. The shift
     is positive when the fringes moved toward the positive axis. It is the
-    comb phase difference at the reference comb frequency (an end of its
-    bracket too), mapped to the displacement window [-P/4, 3P/4) of the
-    reference period P: a comb is only defined modulo its period, and the
-    window is biased toward positive displacements to match the sign
-    convention. When the reference has too few fringes to carry a comb, the
-    shift falls back to the displacement of the interpolated maximum nearest
-    the reference envelope centroid. ``pattern_interval`` is passed through.
+    comb phase difference at the reference comb frequency, mapped to the
+    displacement window [-P/4, 3P/4) of the reference period P: a comb is
+    only defined modulo its period, and the window is biased toward positive
+    displacements to match the sign convention. It is None where the
+    reference's search ended on its bracket, which is no comb frequency.
+    When the reference has too few fringes to carry a comb, the shift falls
+    back to the displacement of the interpolated maximum nearest the
+    reference envelope centroid.
     """
     _require_comparable(curve, reference)
     (curve, j), (reference, _) = _framed(curve), _framed(reference)
@@ -233,17 +241,19 @@ def fringe_report(
     component, ref_component = _windowed_component(curve), _windowed_component(reference)
     length = curve.grid.max - curve.grid.min
     omega, at_end = _comb_frequency(component, maxima, length)
-    ref_omega, _ = _comb_frequency(ref_component, ref_maxima, length)
+    ref_omega, ref_at_end = _comb_frequency(ref_component, ref_maxima, length)
     period = None if omega is None or at_end else math.ldexp(2 * np.pi / omega, -j)
-    if ref_omega is None:
+    if ref_at_end:
+        shift = None
+    elif ref_omega is None:
         # the envelope centroid: the reference has a maximum, so its mass is > 0
         centroid = (reference.values * reference.grid.points()).sum() / reference.values.sum()
         m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
-        shift = min(maxima, key=lambda m: abs(m - m_ref)) - m_ref
+        shift = math.ldexp(min(maxima, key=lambda m: abs(m - m_ref)) - m_ref, -j)
     else:
         dphi = np.angle(ref_component(ref_omega)[0]) - np.angle(component(ref_omega)[0])
-        shift = float(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega)
-    return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, math.ldexp(shift, -j), pattern_interval)
+        shift = math.ldexp(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega, -j)
+    return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, shift)
 
 
 def common_support_interval(curve1: MarginalCurve, curve2: MarginalCurve) -> Optional[Tuple[float, float]]:

@@ -204,7 +204,8 @@ def cmd_fringes(args) -> int:
             raise ValueError("parameter mode needs --axis (or pass --curve/--reference files)")
         curve, reference, interval = _fringes_curves_from_params(args)
 
-    text = json.dumps(dataclasses.asdict(fringe_report(curve, reference, interval)), indent=2) + "\n"
+    report = {**dataclasses.asdict(fringe_report(curve, reference)), "pattern_interval": interval}
+    text = json.dumps(report, indent=2) + "\n"
     if args.out:
         _write_atomic(Path(args.out), [text.encode()])
     else:

@@ -19,7 +19,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "WignerField",
     "SampledWavefunction",
     "MarginalCurve",
-    "FringeReport",
     "normalized_params",
     "propagated_width",
 ]
@@ -249,24 +247,3 @@ class MarginalCurve:
         if arr.min() < 0:
             raise ValueError(f"marginal has negative values (min {arr.min():g})")
         object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class FringeReport:
-    """Extracted fringe structure of a marginal curve."""
-
-    maxima: Tuple[float, ...] = ()
-    period_estimate: Optional[float] = None
-    shift_vs_reference: Optional[float] = None
-    pattern_interval: Optional[Tuple[float, float]] = None
-
-    def __post_init__(self):
-        maxima = tuple(float(m) for m in self.maxima)
-        if any(b <= a for a, b in zip(maxima, maxima[1:])):
-            raise ValueError("maxima must be strictly ascending")
-        object.__setattr__(self, "maxima", maxima)
-        if self.period_estimate is not None and not self.period_estimate > 0:
-            raise ValueError(f"period_estimate must be > 0, got {self.period_estimate}")
-        if self.pattern_interval is not None:
-            lo, hi = self.pattern_interval
-            object.__setattr__(self, "pattern_interval", (float(lo), float(hi)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.signal import find_peaks
 
 from wigslits import (
     AnalysisError,
+    FringeReport,
     Grid1D,
     Grid2D,
     MarginalCurve,
@@ -298,15 +300,20 @@ def _centroid_shift(curve, reference):
     ids=["momentum", "position", "no-period", "centroid", "momentum-grid-1e-310", "momentum-grid-1e-315"],
 )
 def test_fringe_report_equals_the_public_functions(curve, reference, period_none, shift, tol):
-    report = fringe_report(curve, reference, (-1.0, 1.0))
+    report = fringe_report(curve, reference)
     assert list(report.maxima) == find_fringe_maxima(curve)
     # the period is the curve's own: the reference does not enter it
     assert (report.period_estimate is None) == period_none
     assert report.period_estimate == _period(curve)
     # the shift, from a computation that does not go through fringe_report
     assert report.shift_vs_reference == pytest.approx(shift, rel=0, abs=tol)
-    assert report.pattern_interval == (-1.0, 1.0)
-    assert fringe_report(curve, reference).pattern_interval is None
+
+
+def test_fringe_report_serializes():
+    report = FringeReport(maxima=(0.0, 1.0), period_estimate=1.0, shift_vs_reference=0.25)
+    assert dataclasses.asdict(report) == {"maxima": (0.0, 1.0), "period_estimate": 1.0, "shift_vs_reference": 0.25}
+    empty = FringeReport(maxima=(), period_estimate=None, shift_vs_reference=None)
+    assert dataclasses.asdict(empty) == {"maxima": (), "period_estimate": None, "shift_vs_reference": None}
 
 
 def test_fringe_report_below_three_maxima_has_no_period_and_the_centroid_shift():

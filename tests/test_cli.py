@@ -1029,16 +1029,39 @@ def test_random_fringe_reports_are_flux_periodic():
 def test_fringes_period_is_null_where_the_comb_search_ends_on_its_bracket(argv, capsys):
     assert run("fringes", *argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["period_estimate"] is None and math.isfinite(report["shift_vs_reference"])
+    # the references' searches, at delta = 0, end on their brackets too: no shift is measured
+    assert report["period_estimate"] is None and report["shift_vs_reference"] is None
+
+
+def test_fringes_shift_is_null_where_the_reference_comb_search_ends_on_its_bracket(capsys):
+    # the reference's search ends on its bracket: the shift would print as
+    # 1.442, where the closed form gives 1.223 on a period of 1.851
+    argv = ["--axis", "momentum", "--x0=0.8880367114742463", "--d=1.5072194647425654", "--hbar=1.7799109070752803",
+            "--alpha=0.0", "--delta=4.150044319054075", "--nx", "225", "--np", "225"]
+    assert run("fringes", *argv) == 0
+    assert json.loads(capsys.readouterr().out)["shift_vs_reference"] is None
 
 
 def test_random_fringe_reports_print_no_bracket_end_period():
     # P2's draws (tests/probes.py): a period within 1e-9 relative of 0.7 or
     # 1.3 x the comb search's seed is an end of its bracket, not a
-    # measurement, and is reported as null. CI draws 5,000
+    # measurement, and is reported as null; so is the shift exactly where
+    # the reference's own search, which its report against itself shows,
+    # ended on its bracket. Every report's maxima ascend strictly and every
+    # printed period is > 0. CI draws 5,000
     seed, count = sweep(600, 5_000)
     for i, draw in enumerate(probes.p2_draws(seed, count)):
-        assert not probes.at_bracket_end(probes.report(draw)), f"draw {i}, seed {seed}: {' '.join(draw.argv)}"
+        request = f"draw {i}, seed {seed}: {' '.join(draw.argv)}"
+        curve, reference = probes.curves(draw)
+        try:
+            report = fringe_report(curve, reference)
+        except wigslits.AnalysisError:
+            continue
+        assert not probes.at_bracket_end(report), request
+        assert all(a < b for a, b in zip(report.maxima, report.maxima[1:])), request
+        assert report.period_estimate is None or report.period_estimate > 0, request
+        ref_ends = len(find_fringe_maxima(reference)) >= 3 and fringe_report(reference, reference).period_estimate is None
+        assert (report.shift_vs_reference is None) == ref_ends, request
 
 
 def _assert_report_layout(text):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wigslits import (
-    FringeReport,
     Grid1D,
     Grid2D,
     MarginalCurve,
@@ -236,19 +234,3 @@ def test_marginal_curve_rejects_negatives_and_bad_axis():
         MarginalCurve(axis_label="position", grid=g, values=[0.0, -1e-3, 0.0])
     with pytest.raises(ValueError):
         MarginalCurve(axis_label="sideways", grid=g, values=[0.0, 0.0, 0.0])
-
-
-def test_fringe_report_validates_and_serializes():
-    r = FringeReport(maxima=(0.0, 1.0), period_estimate=1.0, shift_vs_reference=0.25,
-                     pattern_interval=(-3.0, 3.0))
-    assert dataclasses.asdict(r) == {
-        "maxima": (0.0, 1.0),
-        "period_estimate": 1.0,
-        "shift_vs_reference": 0.25,
-        "pattern_interval": (-3.0, 3.0),
-    }
-    assert dataclasses.asdict(FringeReport())["pattern_interval"] is None
-    with pytest.raises(ValueError):
-        FringeReport(maxima=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        FringeReport(maxima=(0.0,), period_estimate=0.0)
