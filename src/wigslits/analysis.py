@@ -144,10 +144,8 @@ def _windowed_component(curve: MarginalCurve) -> Callable[..., np.ndarray]:
     return lambda omega, k=0: (moments[: k + 1] * np.exp(-1j * omega * u)).sum(axis=1)
 
 
-def _comb_frequency(
-    component: Callable[..., np.ndarray], maxima: List[float], length: float
-) -> Tuple[Optional[float], bool]:
-    """Angular frequency of the fringe comb, or None below 3 maxima; and whether it is a bracket end.
+def _comb_frequency(component: Callable[..., np.ndarray], maxima: List[float], length: float) -> Optional[float]:
+    """Angular frequency of the fringe comb, or None below 3 maxima or at an end of its bracket.
 
     Seeded by the median spacing of ``maxima``, the curve's prominent maxima,
     and refined to the maximum of |F|, F the curve's windowed ``component``,
@@ -159,10 +157,10 @@ def _comb_frequency(
     do, end around the same maximum. Newton steps on d|F|**2/domega = 0 in
     that bracket, while the step shrinks, then land on the root to a few
     ulps, where |F| itself is flat to the last bit over ~1e-8 relative.
-    A search that ends on 0.7 or 1.3 x seed found no maximum inside.
+    A search that ends on 0.7 or 1.3 x seed found no maximum inside, so no comb.
     """
     if len(maxima) < 3:
-        return None, False
+        return None
     # the median gap by hand: np.median imports numpy.ma in every fresh process
     gaps = sorted(np.diff(maxima).tolist())
     mid = len(gaps) // 2
@@ -189,7 +187,7 @@ def _comb_frequency(
         # a Newton step where |F|**2 is concave, else to the bracket's end uphill
         new = min(max(omega - slope / curvature, a), b) if curvature < 0 else (b if slope > 0 else a)
         if not 0 < abs(new - omega) < last:
-            return omega, omega in ends
+            return None if omega in ends else omega
         omega, last = new, abs(new - omega)
 
 
@@ -203,8 +201,8 @@ def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
 def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> Optional[float]:
     """Signed displacement of the fringe comb of ``curve`` relative to ``reference``.
 
-    The shift of :func:`fringe_report`, so None where the reference's comb
-    search ended on its bracket; the curves must share one grid and one axis.
+    The shift of :func:`fringe_report`, so None where the reference has no
+    comb frequency; the curves must share one grid and one axis.
     """
     return fringe_report(curve, reference).shift_vs_reference
 
@@ -222,16 +220,13 @@ def fringe_report(curve: MarginalCurve, reference: MarginalCurve) -> FringeRepor
     """Report of ``curve`` against ``reference``, with each curve's maxima, component and comb found once.
 
     The period is the fringe spacing 2 pi / (the curve's comb frequency),
-    None below 3 maxima or where its search ended on its bracket. The shift
-    is positive when the fringes moved toward the positive axis. It is the
-    comb phase difference at the reference comb frequency, mapped to the
-    displacement window [-P/4, 3P/4) of the reference period P: a comb is
-    only defined modulo its period, and the window is biased toward positive
-    displacements to match the sign convention. It is None where the
-    reference's search ended on its bracket, which is no comb frequency.
-    When the reference has too few fringes to carry a comb, the shift falls
-    back to the displacement of the interpolated maximum nearest the
-    reference envelope centroid.
+    and None where the curve has no comb frequency (:func:`_comb_frequency`).
+    The shift is positive when the fringes moved toward the positive axis.
+    It is the comb phase difference at the reference comb frequency, mapped
+    to the displacement window [-P/4, 3P/4) of the reference period P: a
+    comb is only defined modulo its period, and the window is biased toward
+    positive displacements to match the sign convention. It is None where
+    the reference has no comb frequency.
     """
     _require_comparable(curve, reference)
     (curve, j), (reference, _) = _framed(curve), _framed(reference)
@@ -240,17 +235,11 @@ def fringe_report(curve: MarginalCurve, reference: MarginalCurve) -> FringeRepor
         raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
     component, ref_component = _windowed_component(curve), _windowed_component(reference)
     length = curve.grid.max - curve.grid.min
-    omega, at_end = _comb_frequency(component, maxima, length)
-    ref_omega, ref_at_end = _comb_frequency(ref_component, ref_maxima, length)
-    period = None if omega is None or at_end else math.ldexp(2 * np.pi / omega, -j)
-    if ref_at_end:
-        shift = None
-    elif ref_omega is None:
-        # the envelope centroid: the reference has a maximum, so its mass is > 0
-        centroid = (reference.values * reference.grid.points()).sum() / reference.values.sum()
-        m_ref = min(ref_maxima, key=lambda m: abs(m - centroid))
-        shift = math.ldexp(min(maxima, key=lambda m: abs(m - m_ref)) - m_ref, -j)
-    else:
+    omega = _comb_frequency(component, maxima, length)
+    ref_omega = _comb_frequency(ref_component, ref_maxima, length)
+    period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
+    shift = None
+    if ref_omega is not None:
         dphi = np.angle(ref_component(ref_omega)[0]) - np.angle(component(ref_omega)[0])
         shift = math.ldexp(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega, -j)
     return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, shift)

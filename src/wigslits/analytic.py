@@ -91,21 +91,21 @@ class PulseSeries:
 
         ``np.trapezoid(values, times)`` wherever that is finite, subnormal steps
         included. Where a step, pair sum, term or partial sum overflows, the
-        same trapezoid summed exactly in rationals (every float is one) and
-        rounded once; +-inf only past the float range.
+        same trapezoid summed exactly in integers (every float is a whole
+        number of 2**-1074) and rounded once; +-inf only past the float range.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.trapezoid(self.values, self.times)
         if math.isfinite(total):
             return float(total)
-        from fractions import Fraction  # imports decimal: off the path of finite integrals
-
-        t, v = (list(map(Fraction, a.tolist())) for a in (self.times, self.values))
-        exact = sum((t1 - t0) * (v0 + v1) for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:])) / 2
+        # n / d, d a power of two up to 2**1074, is n << (1074 - log2 d) units of 2**-1074
+        t, v = ([n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, a.tolist())]
+                for a in (self.times, self.values))
+        units = sum((t1 - t0) * (v0 + v1) for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:]))
         try:
-            return float(exact)
+            return units / (1 << 2149)  # the sum is in units of 2**-2148, halved; int / int rounds once
         except OverflowError:
-            return math.inf if exact > 0 else -math.inf
+            return math.inf if units > 0 else -math.inf
 
 
 @_float_range
@@ -210,6 +210,9 @@ def position_marginal_propagated(params: SlitPairParams, x):
     The slit envelopes widen from x0 to the propagated width; the fringe
     comb inside the overlap region shifts to positive x in proportion to
     delta. At alpha = 0 this reduces to the density right after the slits.
+    Where a fringe is exactly dark (x = 0 at delta = pi) ``slits + cross``
+    can round below 0; it is clamped there to 0, and every other value
+    keeps its bits.
     """
     x = np.asarray(x, dtype=float)
     x0, d, hbar, delta, alpha = params.x0, params.d, params.hbar, params.delta, params.alpha
@@ -217,7 +220,7 @@ def position_marginal_propagated(params: SlitPairParams, x):
     slits = np.exp(-((x - d) / big) ** 2) + np.exp(-((x + d) / big) ** 2)
     phase = 2 * x * alpha * d * hbar / (x0**2 * big**2)
     cross = 2 * np.exp(-(x**2 + d**2) / big**2) * np.cos(phase - delta)
-    return (x0 / big) * (slits + cross)
+    return (x0 / big) * np.maximum(slits + cross, 0.0)
 
 
 @_float_range

@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -56,6 +56,8 @@ from .numeric import wigner_transform  # noqa: F401
 _EXIT_USAGE = 2
 _EXIT_GUARD = 3
 _EXIT_ANALYSIS = 4
+
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------- helpers
@@ -98,33 +100,39 @@ def _write_csv(path: Path, header: str, values: np.ndarray, *axes: np.ndarray, s
     return {"path": path.name, "sha256": _write_atomic(path, chunks), "rows": values.size}
 
 
-def _read_two_column_csv(path: str, expected_header: str) -> Tuple[np.ndarray, np.ndarray]:
-    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with
-    lines = Path(path).read_text(encoding="utf-8-sig").strip().splitlines()
-    if not lines or lines[0].strip() != expected_header:
-        raise ValueError(f"{path}: expected header {expected_header!r}")
-    first, second = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        first.append(float(parts[0]))
-        second.append(float(parts[1]))
-    if len(first) < 2:
-        raise ValueError(f"{path}: needs at least 2 data rows")
-    return np.asarray(first), np.asarray(second)
+def _read_two_column_csv(path: str, expected_header: str, build: Callable[[np.ndarray, np.ndarray], _T]) -> _T:
+    # build(first column, second column), with every refusal naming the file; utf-8-sig
+    # drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").strip().splitlines()
+        if not lines or lines[0].strip() != expected_header:
+            raise ValueError(f"expected header {expected_header!r}")
+        first, second = [], []
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"malformed row {ln!r}")
+            first.append(float(parts[0]))
+            second.append(float(parts[1]))
+        if len(first) < 2:
+            raise ValueError("needs at least 2 data rows")
+        return build(np.asarray(first), np.asarray(second))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _curve_from_csv(path: str, axis_label: str) -> MarginalCurve:
-    coords, values = _read_two_column_csv(path, "coord,value")
-    message = f"{path}: coordinates must form an ascending uniform grid"
-    if not np.all(coords[1:] > coords[:-1]):  # neighbours compared: their differences can overflow
-        raise ValueError(message)
-    grid = Grid1D(min=coords[0], max=coords[-1], n=coords.size)  # refuses a width past the float range
-    steps = np.diff(coords)
-    if np.ptp(steps) > 1e-9 * steps[0]:
-        raise ValueError(message)
-    return MarginalCurve(axis_label=axis_label, grid=grid, values=values)
+    def curve(coords: np.ndarray, values: np.ndarray) -> MarginalCurve:
+        message = "coordinates must form an ascending uniform grid"
+        if not np.all(coords[1:] > coords[:-1]):  # neighbours compared: their differences can overflow
+            raise ValueError(message)
+        grid = Grid1D(min=coords[0], max=coords[-1], n=coords.size)  # refuses a width past the float range
+        steps = np.diff(coords)
+        if np.ptp(steps) > 1e-9 * steps[0]:
+            raise ValueError(message)
+        return MarginalCurve(axis_label=axis_label, grid=grid, values=values)
+
+    return _read_two_column_csv(path, "coord,value", curve)
 
 
 def _params_from_args(args) -> SlitPairParams:
@@ -228,7 +236,7 @@ def cmd_phase(args) -> int:
         if args.scale is None:
             raise ValueError("pulse modes require --scale")
         paths = args.electric if args.electric is not None else args.neutron
-        path1, path2 = (PulseSeries(*_read_two_column_csv(p, "t,value")) for p in paths)
+        path1, path2 = (_read_two_column_csv(p, "t,value", PulseSeries) for p in paths)
         convert = phase_from_voltage_pulses if args.electric is not None else phase_from_magnetic_pulses
         delta = convert(path1, path2, args.scale)
     sys.stdout.write(f"{delta:.12g}\n")

@@ -1,5 +1,6 @@
 """Seeded accuracy probes, each defined once.
 
+P1': the numeric engine's field against the closed form on random grids.
 P2: parameter-mode ``fringes`` reports against the closed-form shift and
 period. P6: the numeric engine's distance from the closed form on four
 grids. P8: the comb frequency that reports fit to momentum curves, against
@@ -8,8 +9,9 @@ bracket, 0.7 or 1.3 times the frequency of the curve's median maximum
 spacing.
 
 ``python tests/probes.py [COUNT [SEED]]`` prints P2 and P9 for COUNT draws
-(default 1200) from SEED (default 3), then P6, then P8 at its own size (300
-curves from seed 5); two runs print the same bytes. It needs ``wigslits`` on
+(default 1200) from SEED (default 3), then P1' at its own size (600 draws
+from seed 1), then P6, then P8 at its own size (300 curves from seed 5);
+two runs print the same bytes. It needs ``wigslits`` on
 the import path (an install, or ``PYTHONPATH=src``). pytest does not collect
 this module; the sweeps that draw through it import it.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from wigslits import analytic, numeric
 from wigslits.analysis import FringeReport, fringe_report
 from wigslits.cli import _fringes_curves_from_params, build_parser
-from wigslits.errors import AnalysisError
+from wigslits.errors import AnalysisError, ConventionViolationError, TruncationError
 from wigslits.model import Grid1D, Grid2D, MarginalCurve, SlitPairParams, normalized_params
 
 
@@ -95,8 +97,8 @@ def p2_p9_table(seed: int, count: int) -> str:
     """P2's table on the draws with at least 2 periods on the window, and P9's count on all draws.
 
     An exit 4 and a null shift count as an error of 1 period; the null shifts,
-    where the reference's comb search ended on its bracket, are also counted
-    on their own.
+    where the reference has no comb frequency (fewer than 3 prominent maxima,
+    or a comb search that ended on its bracket), are also counted on their own.
     """
     p2 = {axis: [0, 0, 0, 0, 0] for axis in ("momentum", "position")}
     p9 = {axis: [0, 0] for axis in ("momentum", "position")}
@@ -128,6 +130,45 @@ def p2_p9_table(seed: int, count: int) -> str:
 def _distance(got: np.ndarray, want: np.ndarray) -> float:
     """max|got - want| / max|want|."""
     return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def p1_table(seed: int, count: int) -> str:
+    """P1': ``numeric.simulate`` against ``analytic.simulate`` on random grids of the unit scenario.
+
+    Each draw takes D = d/x0 uniform on [0.7, 8]; then alpha uniform on
+    [0, 10) on odd draws only (even draws have alpha = 0); then the x
+    half-width D + U(3, 12), the p half-width U(0.5, 6), nx on [24, 400),
+    np on [9, 300) and delta on [0, 2 pi), in that order. A refusal is counted
+    by its exception, ``TruncationError`` split into the transform's edge
+    guard and the flight's output guard; an admitted draw's field error is
+    max|numeric - analytic| over 8 sqrt(pi), the closed form's peak bound.
+    """
+    rng = np.random.default_rng(seed)
+    refused: dict = {}
+    errors: dict = {"alpha = 0": [], "alpha > 0": []}
+    for i in range(count):
+        big_d = float(rng.uniform(0.7, 8.0))
+        alpha = float(rng.uniform(0.0, 10.0)) if i % 2 else 0.0
+        x_half, p_half = big_d + float(rng.uniform(3.0, 12.0)), float(rng.uniform(0.5, 6.0))
+        nx, n_p = int(rng.integers(24, 400)), int(rng.integers(9, 300))
+        params = SlitPairParams(x0=1.0, d=big_d, alpha=alpha, delta=float(rng.uniform(0.0, 2 * math.pi)))
+        grid = Grid2D(Grid1D(-x_half, x_half, nx), Grid1D(-p_half, p_half, n_p))
+        try:
+            field = numeric.simulate(params, grid)[0]
+        except (TruncationError, ValueError, ConventionViolationError) as exc:
+            kind = type(exc).__name__
+            if isinstance(exc, TruncationError):
+                kind += " (flight)" if "free propagation" in str(exc) else " (edge)"
+            refused[kind] = refused.get(kind, 0) + 1
+            continue
+        error = np.abs(field.values - analytic.simulate(params, grid)[0].values).max() / (8 * math.sqrt(math.pi))
+        errors["alpha > 0" if alpha else "alpha = 0"].append(float(error))
+    lines = [f"P1', seed {seed}, {count} draws: numeric against closed form, field error over 8 sqrt(pi)",
+             "refused: " + ", ".join(f"{refused[kind]} {kind}" for kind in sorted(refused))]
+    for label, found in errors.items():
+        above = sum(e > 1e-6 for e in found)
+        lines.append(f"{label}: {len(found)} admitted, {above} above 1e-6, worst {max(found, default=0.0):.1e}")
+    return "\n".join(lines) + "\n"
 
 
 def p6_table() -> str:
@@ -184,8 +225,8 @@ def p8_table(seed: int, count: int) -> str:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Print the P2, P9, P6 and P8 accuracy probes.")
+    parser = argparse.ArgumentParser(description="Print the P2, P9, P1', P6 and P8 accuracy probes.")
     parser.add_argument("count", type=int, nargs="?", default=1200, help="number of P2 draws")
     parser.add_argument("seed", type=int, nargs="?", default=3, help="seed of the P2 draws")
     args = parser.parse_args()
-    sys.stdout.write(p2_p9_table(args.seed, args.count) + p6_table() + p8_table(5, 300))
+    sys.stdout.write(p2_p9_table(args.seed, args.count) + p1_table(1, 600) + p6_table() + p8_table(5, 300))

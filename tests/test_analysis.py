@@ -234,17 +234,6 @@ def test_fringe_shift_needs_peaks():
         fringe_shift(flat, flat)
 
 
-def test_fringe_shift_single_peak_fallback():
-    # too few fringes for a period: fall back to displacement of the
-    # central maxima themselves
-    grid = Grid1D(min=-8.0, max=8.0, n=1601)
-    x = grid.points()
-    ref = MarginalCurve(axis_label="position", grid=grid, values=np.exp(-(x**2)))
-    cur = MarginalCurve(axis_label="position", grid=grid, values=np.exp(-((x - 1.5) ** 2)))
-    assert fringe_shift(cur, ref) == pytest.approx(1.5, abs=1e-6)
-    assert fringe_shift(ref, cur) == pytest.approx(-1.5, abs=1e-6)
-
-
 # ---------------------------------------------------------------- report
 
 
@@ -271,15 +260,6 @@ def _phase_shift(curve, reference, omega):
     return _in_window((phase(reference) - phase(curve)) / omega, 2 * math.pi / omega)
 
 
-def _centroid_shift(curve, reference):
-    # the curve maximum nearest the reference maximum nearest the reference
-    # envelope centroid, less that reference maximum
-    x = reference.grid.points()
-    centroid = (reference.values * x).sum() / reference.values.sum()
-    m_ref = min(find_fringe_maxima(reference), key=lambda m: abs(m - centroid))
-    return min(find_fringe_maxima(curve), key=lambda m: abs(m - m_ref)) - m_ref
-
-
 @pytest.mark.parametrize(
     "curve, reference, period_none, shift, tol",
     [
@@ -289,15 +269,15 @@ def _centroid_shift(curve, reference):
         (_x_curve(4.0), _x_curve(0.0), False, _in_window(4 * 37 / 60, 37 * math.pi / 30), 2e-2),
         # one maximum: no period, and the phase shift at the comb frequency 2 d / hbar
         (_bump(0.5), _p_curve(0.0), True, _phase_shift(_bump(0.5), _p_curve(0.0), 10.0), 1e-6),
-        # one reference fringe: the centroid fallback, exactly
-        (_p_curve(4.0), _bump(0.0), False, _centroid_shift(_p_curve(4.0), _bump(0.0)), 0.0),
+        # one reference maximum: no comb frequency to read the shift at
+        (_p_curve(4.0), _bump(0.0), False, None, 0.0),
         # subnormal spacings: the maxima, too, are found in the curve's frame
         *[
             (_on_grid_times(s, _p_curve(4.0)), _on_grid_times(s, _p_curve(0.0)), False, 0.4 * s, 2e-3 * s)
             for s in (1e-310, 1e-315)
         ],
     ],
-    ids=["momentum", "position", "no-period", "centroid", "momentum-grid-1e-310", "momentum-grid-1e-315"],
+    ids=["momentum", "position", "no-period", "no-reference-comb", "momentum-grid-1e-310", "momentum-grid-1e-315"],
 )
 def test_fringe_report_equals_the_public_functions(curve, reference, period_none, shift, tol):
     report = fringe_report(curve, reference)
@@ -306,7 +286,10 @@ def test_fringe_report_equals_the_public_functions(curve, reference, period_none
     assert (report.period_estimate is None) == period_none
     assert report.period_estimate == _period(curve)
     # the shift, from a computation that does not go through fringe_report
-    assert report.shift_vs_reference == pytest.approx(shift, rel=0, abs=tol)
+    if shift is None:
+        assert report.shift_vs_reference is None
+    else:
+        assert report.shift_vs_reference == pytest.approx(shift, rel=0, abs=tol)
 
 
 def test_fringe_report_serializes():
@@ -316,11 +299,10 @@ def test_fringe_report_serializes():
     assert dataclasses.asdict(empty) == {"maxima": (), "period_estimate": None, "shift_vs_reference": None}
 
 
-def test_fringe_report_below_three_maxima_has_no_period_and_the_centroid_shift():
+def test_fringe_report_below_three_maxima_has_no_period_and_no_shift():
     # two prominent maxima per curve: too few for a comb on either, so the
-    # period is None and the shift is the displacement of the curve maximum
-    # nearest the reference maximum nearest the reference envelope centroid
-    # (the heavier right peak here, not the first one)
+    # period is None, and so is the shift, which the reference's comb
+    # frequency would carry; the humps moved, but humps are no comb
     grid = Grid1D(min=-4.0, max=4.0, n=801)
     x = grid.points()
 
@@ -331,8 +313,12 @@ def test_fringe_report_below_three_maxima_has_no_period_and_the_centroid_shift()
     report = fringe_report(curve, reference)
     assert len(find_fringe_maxima(curve)) == len(find_fringe_maxima(reference)) == 2
     assert report.period_estimate is None
-    assert report.shift_vs_reference == _centroid_shift(curve, reference)
-    assert report.shift_vs_reference == pytest.approx(0.3, abs=1e-6)
+    assert report.shift_vs_reference is None
+    # one bump against another: no comb, whatever the displacement
+    grid = Grid1D(min=-8.0, max=8.0, n=1601)
+    x = grid.points()
+    reference, curve = (MarginalCurve("position", grid, np.exp(-((x - c) ** 2))) for c in (0.0, 1.5))
+    assert fringe_shift(curve, reference) is None and fringe_shift(reference, curve) is None
 
 
 def _scaled_to_float_max(curve):
@@ -341,12 +327,12 @@ def _scaled_to_float_max(curve):
     return MarginalCurve(curve.axis_label, curve.grid, values)
 
 
-@pytest.mark.parametrize("reference", [_p_curve(0.0), _bump(0.0)], ids=["fourier", "centroid"])
+@pytest.mark.parametrize("reference", [_p_curve(0.0), _bump(0.0)], ids=["fourier", "no-reference-comb"])
 def test_fringe_report_holds_its_bits_up_to_the_float_maximum(reference):
     # a marginal's scale, 8 pi x0^2, can come within a factor 2 of the float
     # maximum: the vertex refinement must not form 2 y0, nor the windowed
-    # component and the centroid fallback sum the raw values; an exact
-    # scaling changes no bit of the report
+    # component sum the raw values, with a reference comb or without one; an
+    # exact scaling changes no bit of the report
     curve = _p_curve(4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -357,7 +343,7 @@ def test_fringe_report_holds_its_bits_up_to_the_float_maximum(reference):
 _SCALE_PAIRS = {
     "momentum": (_p_curve(4.0), _p_curve(0.0)),
     "position": (_x_curve(4.0), _x_curve(0.0)),
-    "centroid": (_bump(0.5), _bump(0.0)),  # one reference maximum: the centroid fallback
+    "no-reference-comb": (_bump(0.5), _bump(0.0)),  # one reference maximum: no period and no shift
 }
 
 
@@ -400,8 +386,9 @@ def _scaled_report_holds(name, k, j):
         warnings.simplefilter("error")
         got = fringe_report(curve, reference)
     assert got.maxima == tuple(math.ldexp(m, j) for m in want.maxima)
-    assert got.period_estimate == (None if want.period_estimate is None else math.ldexp(want.period_estimate, j))
-    assert got.shift_vs_reference == math.ldexp(want.shift_vs_reference, j)
+    for got_length, want_length in ((got.period_estimate, want.period_estimate),
+                                    (got.shift_vs_reference, want.shift_vs_reference)):
+        assert got_length == (None if want_length is None else math.ldexp(want_length, j))
 
 
 @settings(max_examples=100, deadline=None)

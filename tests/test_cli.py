@@ -88,8 +88,8 @@ def test_commands_writing_to_stdout_do_not_load_openssl():
 
 
 def test_commands_do_not_import_fractions(tmp_path):
-    # only a pulse integral past the float range sums in fractions.Fraction,
-    # which imports decimal (~2.3 ms and ~0.4 MB in a fresh process)
+    # fractions imports decimal (~2.3 ms and ~0.4 MB in a fresh process);
+    # a pulse integral past the float range sums in integers, not in Fraction
     paths = [tmp_path / "path1.csv", tmp_path / "path2.csv"]
     for path, level in zip(paths, ("1", "0.5")):
         path.write_text(f"t,value\n0,{level}\n1,{level}\n")
@@ -730,7 +730,9 @@ def test_random_unit_scale_problems_match_the_unit_scenario():
     # the paper's problems at any unit scale: D = d/x0 uniform on [2, 6], A =
     # alpha*hbar/x0**2 on [0, 8] (0 in 20 %), x0 and hbar log-uniform on
     # [1e-300, 1e300], delta on [0, 2 pi), the commands in turn on a 129**2
-    # grid. Every draw exits cleanly; simulate refuses only an x0 whose
+    # grid. Every third cycle of four draws takes delta = pi, where the
+    # fringe at x = 0 is dark and its density may round to 0 but never below.
+    # Every draw exits cleanly; simulate refuses only an x0 whose
     # prefactors leave the normal floats, and a draw whose raw d and alpha are
     # finite is otherwise answered. Every other cycle takes x0 = 2**i and
     # hbar = 2**j, which scale every value without rounding: there each draw
@@ -741,6 +743,8 @@ def test_random_unit_scale_problems_match_the_unit_scenario():
         big_d, big_a = float(rng.uniform(2, 6)), (0.0 if rng.random() < 0.2 else float(rng.uniform(0, 8)))
         x0, hbar = (10.0 ** rng.uniform(-300, 300, 2)).tolist()
         delta = float(rng.uniform(0, 2 * math.pi))
+        if i // 4 % 3 == 2:
+            delta = math.pi
         if i // 4 % 2:
             x0, hbar = (2.0 ** np.rint(np.log2([x0, hbar]))).tolist()
         (m_x0, e_x0), (m_h, e_h) = math.frexp(x0), math.frexp(hbar)
@@ -856,6 +860,33 @@ def test_fringes_position_pattern_closed_before_flight(capsys):
     assert run("fringes", "--axis", "position", "--delta", "4", "--ref-delta", "0") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pattern_interval"] is None
+    # before flight the position density is the two slit humps, no comb: no period and no shift
+    assert report["period_estimate"] is None and report["shift_vs_reference"] is None
+
+
+def test_fringes_shift_is_null_where_the_reference_has_two_maxima(capsys):
+    # the reference's two prominent maxima are the slit humps, no comb; the
+    # shift would print as the humps' displacement, 0.0, where the closed
+    # form gives 0.638 on a period of 1.535
+    argv = ["--axis", "position", "--x0=1.7577273764771293", "--d=8.786656367097155", "--hbar=2.5986769209934186",
+            "--alpha=0.6182793677147486", "--delta=2.611932220535544", "--nx", "438", "--np", "438"]
+    assert run("fringes", *argv) == 0
+    assert json.loads(capsys.readouterr().out)["shift_vs_reference"] is None
+
+
+def test_dark_fringe_density_is_not_negative(tmp_path, capsys):
+    # at delta = pi the fringe at x = 0 is dark, and the closed form's
+    # slits + cross rounded there to -1.03e-17: fringes refused the curve it
+    # sampled, and simulate wrote a density that fringes --curve refused
+    dark = ["--alpha", "2.5", "--delta", repr(math.pi), "--nx", "97", "--np", "97"]
+    assert run("fringes", "--axis", "position", *dark) == 0
+    assert run("simulate", "--d", "5", *dark, "--out", str(tmp_path)) == 0
+    density = _csv_floats(tmp_path / "xmarginal.csv")
+    assert density[48, 0] == 0.0 and density[:, 1].min() >= 0.0
+    xmarginal = str(tmp_path / "xmarginal.csv")
+    capsys.readouterr()
+    assert run("fringes", "--curve", xmarginal, "--reference", xmarginal) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fringes_position_axis_after_flight(capsys):
@@ -936,16 +967,16 @@ def test_fringes_levels_are_fixed(flag):
     assert exc.value.code == 2
 
 
-def test_fringes_centroid_fallback_at_extreme_scale(capsys):
-    # a reference with one maximum takes the shift from the maximum nearest
-    # its envelope centroid; the raw curve would peak at 8 pi x0**2 ~ 5e307,
-    # but the report reads the unit scenario's, which peaks at 8 pi
+def test_fringes_one_maximum_at_extreme_scale(capsys):
+    # a reference with one maximum has no comb, so no shift; the raw curve
+    # would peak at 8 pi x0**2 ~ 5e307, but the report reads the unit
+    # scenario's, which peaks at 8 pi
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         argv = ["--x0", "1.46e153", "--d", "3.62e43", "--hbar", "6.96e-62", "--nx", "33", "--np", "17"]
         assert run("fringes", "--axis", "momentum", *argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report == {"maxima": [0.0], "period_estimate": None, "shift_vs_reference": 0.0,
+    assert report == {"maxima": [0.0], "period_estimate": None, "shift_vs_reference": None,
                       "pattern_interval": [-3.0, 3.0]}
 
 
@@ -1045,10 +1076,10 @@ def test_fringes_shift_is_null_where_the_reference_comb_search_ends_on_its_brack
 def test_random_fringe_reports_print_no_bracket_end_period():
     # P2's draws (tests/probes.py): a period within 1e-9 relative of 0.7 or
     # 1.3 x the comb search's seed is an end of its bracket, not a
-    # measurement, and is reported as null; so is the shift exactly where
-    # the reference's own search, which its report against itself shows,
-    # ended on its bracket. Every report's maxima ascend strictly and every
-    # printed period is > 0. CI draws 5,000
+    # measurement, and is reported as null; the shift is null exactly where
+    # the reference has no comb frequency, which its report against itself
+    # shows as a null period. Every report's maxima ascend strictly and
+    # every printed period is > 0. CI draws 5,000
     seed, count = sweep(600, 5_000)
     for i, draw in enumerate(probes.p2_draws(seed, count)):
         request = f"draw {i}, seed {seed}: {' '.join(draw.argv)}"
@@ -1060,8 +1091,8 @@ def test_random_fringe_reports_print_no_bracket_end_period():
         assert not probes.at_bracket_end(report), request
         assert all(a < b for a, b in zip(report.maxima, report.maxima[1:])), request
         assert report.period_estimate is None or report.period_estimate > 0, request
-        ref_ends = len(find_fringe_maxima(reference)) >= 3 and fringe_report(reference, reference).period_estimate is None
-        assert (report.shift_vs_reference is None) == ref_ends, request
+        no_ref_comb = fringe_report(reference, reference).period_estimate is None
+        assert (report.shift_vs_reference is None) == no_ref_comb, request
 
 
 def _assert_report_layout(text):
@@ -1142,6 +1173,24 @@ def test_fringes_rejects_short_or_uneven_curve_files(tmp_path, capsys, coords, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1\n1,-1\n", "marginal has negative values (min -1)"),
+        ("0,1\n1,nan\n", "marginal contains non-finite values"),
+        ("-1e308,1\n1e308,1\n", "grid needs a finite width max - min, got [-1e+308, 1e+308]"),
+    ],
+    ids=["negative", "non-finite", "width"],
+)
+def test_fringes_value_refusals_name_their_file(tmp_path, capsys, rows, message):
+    # with two files a command, a refusal of the values must say which file holds them
+    good, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+    good.write_text("coord,value\n0,1\n1,1\n")
+    bad.write_text("coord,value\n" + rows)
+    assert run("fringes", "--curve", str(good), "--reference", str(bad)) == 2
+    assert capsys.readouterr().err == f"wigslits: {bad}: {message}\n"
+
+
 def test_fringes_requires_both_files(capsys):
     assert run("fringes", "--curve", "only.csv") == 2
     assert run("fringes") == 2  # neither files nor --axis
@@ -1219,6 +1268,22 @@ def test_phase_rejects_non_finite_input(tmp_path, capsys, argv):
     }
     assert run("phase", *(a.format(**files) for a in argv)) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0.0, 1.0), (1.0, math.inf)], "pulse values contains non-finite values"),
+        ([(1.0, 1.0), (0.0, 1.0)], "pulse times must be strictly ascending"),
+        ([(0.0, 1.0), ("one", 1.0)], "could not convert string to float: 'one'"),
+    ],
+    ids=["non-finite", "descending", "not-a-number"],
+)
+def test_phase_value_refusals_name_their_file(tmp_path, capsys, rows, message):
+    good = _pulse_file(tmp_path / "a.csv", [(0.0, 1.0), (1.0, 1.0)])
+    bad = _pulse_file(tmp_path / "b.csv", rows)
+    assert run("phase", "--electric", good, bad, "--scale", "1") == 2
+    assert capsys.readouterr().err == f"wigslits: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("mode", ["--electric", "--neutron"])
