@@ -30,7 +30,7 @@ from .analytic import (
     wigner_two_slit,
     wigner_two_slit_propagated,
 )
-from .errors import AnalysisError, ConventionViolationError, TruncationError
+from .errors import ConventionViolationError, TruncationError
 from .model import (
     Grid1D,
     Grid2D,
@@ -53,7 +53,6 @@ from .numeric import (
 
 __all__ = [
     "__version__",
-    "AnalysisError",
     "ConventionViolationError",
     "TruncationError",
     "SlitPairParams",

@@ -26,7 +26,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import AnalysisError
 from .model import Grid1D, MarginalCurve, WignerField
 from .numeric import field_marginal
 
@@ -202,7 +201,8 @@ def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> Optional[flo
     """Signed displacement of the fringe comb of ``curve`` relative to ``reference``.
 
     The shift of :func:`fringe_report`, so None where the reference has no
-    comb frequency; the curves must share one grid and one axis.
+    comb frequency or the curve no prominent maximum; the curves must share
+    one grid and one axis.
     """
     return fringe_report(curve, reference).shift_vs_reference
 
@@ -226,20 +226,20 @@ def fringe_report(curve: MarginalCurve, reference: MarginalCurve) -> FringeRepor
     to the displacement window [-P/4, 3P/4) of the reference period P: a
     comb is only defined modulo its period, and the window is biased toward
     positive displacements to match the sign convention. It is None where
-    the reference has no comb frequency.
+    the reference has no comb frequency, or where the curve has no prominent
+    maximum: a flat curve has no comb to have moved, and its phase at the
+    reference's frequency would be read from leakage alone.
     """
     _require_comparable(curve, reference)
     (curve, j), (reference, _) = _framed(curve), _framed(reference)
     maxima, ref_maxima = _framed_maxima(curve), _framed_maxima(reference)
-    if not maxima or not ref_maxima:
-        raise AnalysisError("fringe shift needs at least one prominent maximum per curve")
     component, ref_component = _windowed_component(curve), _windowed_component(reference)
     length = curve.grid.max - curve.grid.min
     omega = _comb_frequency(component, maxima, length)
     ref_omega = _comb_frequency(ref_component, ref_maxima, length)
     period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
     shift = None
-    if ref_omega is not None:
+    if ref_omega is not None and maxima:
         dphi = np.angle(ref_component(ref_omega)[0]) - np.angle(component(ref_omega)[0])
         shift = math.ldexp(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega, -j)
     return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, shift)

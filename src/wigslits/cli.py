@@ -10,8 +10,8 @@ D = d/x0, A = alpha*hbar/x0**2) on the file coordinates X = x/x0 and P =
 p*x0/hbar. Raw units enter only as prefactors: ``simulate`` writes the field
 times x0 and the momentum density times x0**2; ``fringes`` needs none.
 
-Exit codes: 0 ok, 2 usage/parse error, 3 numerical guard tripped,
-4 fringe analysis failure.
+Exit codes: 0 ok, 2 usage/parse error, 3 numerical guard tripped; a fringe
+report with nothing to measure prints nulls and exits 0.
 
 :func:`main` may be called any number of times in one process, as the
 workloads in ``perfbench/`` do. The parser is built on first use and then
@@ -45,7 +45,7 @@ from .analytic import (
     position_marginal_propagated,
     single_slit_marginal,
 )
-from .errors import AnalysisError, ConventionViolationError, TruncationError
+from .errors import ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SlitPairParams, _require_finite, _unit_scenario
 from .numeric import DEFAULT_EDGE_DECAY_TOL
 
@@ -55,7 +55,6 @@ from .numeric import wigner_transform  # noqa: F401
 
 _EXIT_USAGE = 2
 _EXIT_GUARD = 3
-_EXIT_ANALYSIS = 4
 
 _T = TypeVar("_T")
 
@@ -68,7 +67,8 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> str:
 
     The temp file is created with mode 0666 under a random name beside
     ``path``, so the result gets the permissions the umask gives a plain
-    ``open()`` (0644 under umask 022).
+    ``open()`` (0644 under umask 022). An ``OSError`` names ``path``, not the
+    temp file, so reruns of a refused write print the same message.
     """
     # imported here: hashlib loads OpenSSL (~3.6 MiB, 3-5 ms in a fresh
     # process), and only simulate and fringes --out write files
@@ -76,18 +76,21 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> str:
 
     digest = hashlib.sha256()
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                digest.update(chunk)
-                fh.write(chunk)
-                del chunk  # so the next chunk is built without this one held
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    digest.update(chunk)
+                    fh.write(chunk)
+                    del chunk  # so the next chunk is built without this one held
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     return digest.hexdigest()
 
 
@@ -309,9 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TruncationError, ConventionViolationError) as exc:
         print(f"wigslits: numerical guard: {exc}", file=sys.stderr)
         return _EXIT_GUARD
-    except AnalysisError as exc:
-        print(f"wigslits: analysis failure: {exc}", file=sys.stderr)
-        return _EXIT_ANALYSIS
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: numpy's message sizes the array
         print(f"wigslits: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -14,7 +14,3 @@ class ConventionViolationError(RuntimeError):
 
     This signals a kernel-sign or normalization bug, or an undersampled x grid.
     """
-
-
-class AnalysisError(RuntimeError):
-    """Fringe analysis could not produce a meaningful result."""

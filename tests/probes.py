@@ -21,14 +21,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
 from wigslits import analytic, numeric
 from wigslits.analysis import FringeReport, fringe_report
 from wigslits.cli import _fringes_curves_from_params, build_parser
-from wigslits.errors import AnalysisError, ConventionViolationError, TruncationError
+from wigslits.errors import ConventionViolationError, TruncationError
 from wigslits.model import Grid1D, Grid2D, MarginalCurve, SlitPairParams, normalized_params
 
 
@@ -71,17 +71,14 @@ def curves(draw: Draw) -> Tuple[MarginalCurve, MarginalCurve]:
     return curve, reference
 
 
-def report(draw: Draw) -> Optional[FringeReport]:
-    """The report ``wigslits`` prints for the draw, or None where it exits 4."""
-    try:
-        return fringe_report(*curves(draw))
-    except AnalysisError:
-        return None
+def report(draw: Draw) -> FringeReport:
+    """The report ``wigslits`` prints for the draw."""
+    return fringe_report(*curves(draw))
 
 
-def at_bracket_end(result: Optional[FringeReport]) -> bool:
+def at_bracket_end(result: FringeReport) -> bool:
     """Whether the printed period lies within 1e-9 relative of an end of its search bracket."""
-    if result is None or result.period_estimate is None:
+    if result.period_estimate is None:
         return False
     median_gap = float(np.median(np.diff(result.maxima)))
     return any(abs(result.period_estimate * factor / median_gap - 1) <= 1e-9 for factor in (0.7, 1.3))
@@ -96,22 +93,23 @@ def _cyclic_error(got: float, want: float, period: float) -> float:
 def p2_p9_table(seed: int, count: int) -> str:
     """P2's table on the draws with at least 2 periods on the window, and P9's count on all draws.
 
-    An exit 4 and a null shift count as an error of 1 period; the null shifts,
-    where the reference has no comb frequency (fewer than 3 prominent maxima,
-    or a comb search that ended on its bracket), are also counted on their own.
+    A null shift counts as an error of 1 period, and the null shifts are also
+    counted on their own: where the reference has no comb frequency (fewer
+    than 3 prominent maxima, or a comb search that ended on its bracket), or
+    the curve has no prominent maximum.
     """
     p2 = {axis: [0, 0, 0, 0, 0] for axis in ("momentum", "position")}
     p9 = {axis: [0, 0] for axis in ("momentum", "position")}
     for draw in p2_draws(seed, count):
         got = report(draw)
-        if got is not None and got.period_estimate is not None:
+        if got.period_estimate is not None:
             p9[draw.axis][0] += at_bracket_end(got)
             p9[draw.axis][1] += 1
         if draw.window < 2 * draw.period:
             continue
-        null_shift = got is not None and got.shift_vs_reference is None
-        error = 1.0 if got is None or null_shift else _cyclic_error(got.shift_vs_reference, draw.shift, draw.period)
-        bad_period = got is None or got.period_estimate is None or abs(got.period_estimate / draw.period - 1) > 0.01
+        null_shift = got.shift_vs_reference is None
+        error = 1.0 if null_shift else _cyclic_error(got.shift_vs_reference, draw.shift, draw.period)
+        bad_period = got.period_estimate is None or abs(got.period_estimate / draw.period - 1) > 0.01
         row = p2[draw.axis]
         row[0] += 1
         row[1] += error > 2e-3
