@@ -200,9 +200,8 @@ def _require_comparable(curve1: MarginalCurve, curve2: MarginalCurve) -> None:
 def fringe_shift(curve: MarginalCurve, reference: MarginalCurve) -> Optional[float]:
     """Signed displacement of the fringe comb of ``curve`` relative to ``reference``.
 
-    The shift of :func:`fringe_report`, so None where the reference has no
-    comb frequency or the curve no prominent maximum; the curves must share
-    one grid and one axis.
+    The shift of :func:`fringe_report`, so None where either curve has no
+    comb frequency; the curves must share one grid and one axis.
     """
     return fringe_report(curve, reference).shift_vs_reference
 
@@ -226,9 +225,9 @@ def fringe_report(curve: MarginalCurve, reference: MarginalCurve) -> FringeRepor
     to the displacement window [-P/4, 3P/4) of the reference period P: a
     comb is only defined modulo its period, and the window is biased toward
     positive displacements to match the sign convention. It is None where
-    the reference has no comb frequency, or where the curve has no prominent
-    maximum: a flat curve has no comb to have moved, and its phase at the
-    reference's frequency would be read from leakage alone.
+    either curve has no comb frequency: a curve without a comb has no comb
+    to have moved, and its phase at the reference's frequency would be read
+    from its envelope or from leakage, not from fringes.
     """
     _require_comparable(curve, reference)
     (curve, j), (reference, _) = _framed(curve), _framed(reference)
@@ -239,7 +238,7 @@ def fringe_report(curve: MarginalCurve, reference: MarginalCurve) -> FringeRepor
     ref_omega = _comb_frequency(ref_component, ref_maxima, length)
     period = None if omega is None else math.ldexp(2 * np.pi / omega, -j)
     shift = None
-    if ref_omega is not None and maxima:
+    if omega is not None and ref_omega is not None:
         dphi = np.angle(ref_component(ref_omega)[0]) - np.angle(component(ref_omega)[0])
         shift = math.ldexp(((dphi + np.pi / 2) % (2 * np.pi) - np.pi / 2) / ref_omega, -j)
     return FringeReport(tuple(math.ldexp(m, -j) for m in maxima), period, shift)

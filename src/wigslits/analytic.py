@@ -34,6 +34,8 @@ import numpy as np
 from .model import Grid2D, SlitPairParams, WignerField, propagated_width
 from .model import _float_range, _frozen_array, _require_finite, _require_positive
 
+# the package re-exports this list; simulate, one name for two engines, stays
+# out of it and is reached as analytic.simulate
 __all__ = [
     "FluxSpec",
     "PulseSeries",
@@ -45,7 +47,6 @@ __all__ = [
     "single_slit_marginal",
     "two_slit_field",
     "single_slit_field",
-    "simulate",
     "phase_from_flux",
     "phase_from_voltage_pulses",
     "phase_from_magnetic_pulses",

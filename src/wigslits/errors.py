@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConventionViolationError", "TruncationError"]
+
 
 class TruncationError(RuntimeError):
     """A sampled wavefunction has not decayed at the grid edges.

@@ -24,8 +24,9 @@ from .errors import ConventionViolationError, TruncationError
 from .model import Grid1D, Grid2D, MarginalCurve, SampledWavefunction, SlitPairParams, WignerField
 from .model import _float_range, _require_finite, _require_positive, propagated_width
 
+# the package re-exports this list; simulate, one name for two engines, and
+# DEFAULT_EDGE_DECAY_TOL stay out of it and are reached through this module
 __all__ = [
-    "DEFAULT_EDGE_DECAY_TOL",
     "sample_wavefunction",
     "momentum_wavefunction",
     "wigner_transform",
@@ -33,7 +34,6 @@ __all__ = [
     "shear_field",
     "field_marginal",
     "field_marginals",
-    "simulate",
 ]
 
 # Endpoint amplitude allowed relative to the wavefunction peak before a
@@ -137,11 +137,21 @@ def momentum_wavefunction(psi: SampledWavefunction, p_grid: Grid1D, hbar: float 
     samples zero-padded to ceil(n/s) x s. The scratch is O((n/s + s) *
     block) and repeated runs are bit-identical. Returns a complex array of
     length ``p_grid.n``.
+
+    Samples dx apart resolve |p| <= pi hbar / dx; past that bound the sum
+    returns an alias of a lower momentum, so a ValueError is raised instead.
     """
     _require_positive("hbar", hbar)
     _check_edge_decay(psi.values, "momentum transform")
     x = psi.grid.points()
     p = p_grid.points()
+    p_bound = math.pi * hbar / psi.grid.spacing
+    p_max = np.abs(p).max()
+    if p_max > p_bound:
+        raise ValueError(
+            f"momentum grid reaches |p| = {p_max:g}, beyond the sampling "
+            f"bandwidth pi*hbar/dx = {p_bound:g}; refine the x grid"
+        )
     rows = -(-x.size // _TABLE_SPLIT)
     weighted = np.zeros(rows * _TABLE_SPLIT, dtype=complex)
     weighted[: x.size] = psi.values * _trapezoid_weights(psi.grid)

@@ -94,9 +94,9 @@ def p2_p9_table(seed: int, count: int) -> str:
     """P2's table on the draws with at least 2 periods on the window, and P9's count on all draws.
 
     A null shift counts as an error of 1 period, and the null shifts are also
-    counted on their own: where the reference has no comb frequency (fewer
-    than 3 prominent maxima, or a comb search that ended on its bracket), or
-    the curve has no prominent maximum.
+    counted on their own: where the curve or the reference has no comb
+    frequency (fewer than 3 prominent maxima, or a comb search that ended on
+    its bracket).
     """
     p2 = {axis: [0, 0, 0, 0, 0] for axis in ("momentum", "position")}
     p9 = {axis: [0, 0] for axis in ("momentum", "position")}

@@ -269,8 +269,10 @@ def _phase_shift(curve, reference, omega):
         (_p_curve(4.0), _p_curve(0.0), False, 4.0 / 10, 2e-3),
         # the position comb by delta x0^2 X^2 / (2 alpha d hbar), X^2 = 37 at alpha = 6
         (_x_curve(4.0), _x_curve(0.0), False, _in_window(4 * 37 / 60, 37 * math.pi / 30), 2e-2),
-        # one maximum: no period, and the phase shift at the comb frequency 2 d / hbar
-        (_bump(0.5), _p_curve(0.0), True, _phase_shift(_bump(0.5), _p_curve(0.0), 10.0), 1e-6),
+        # the same shift as the comb phase difference at the comb frequency 2 d / hbar
+        (_p_curve(4.0), _p_curve(0.0), False, _phase_shift(_p_curve(4.0), _p_curve(0.0), 10.0), 1e-6),
+        # one maximum: no period, and no comb to have moved, so no shift
+        (_bump(0.5), _p_curve(0.0), True, None, 0.0),
         # one reference maximum: no comb frequency to read the shift at
         (_p_curve(4.0), _bump(0.0), False, None, 0.0),
         # subnormal spacings: the maxima, too, are found in the curve's frame
@@ -279,7 +281,8 @@ def _phase_shift(curve, reference, omega):
             for s in (1e-310, 1e-315)
         ],
     ],
-    ids=["momentum", "position", "no-period", "no-reference-comb", "momentum-grid-1e-310", "momentum-grid-1e-315"],
+    ids=["momentum", "position", "momentum-phase", "no-period", "no-reference-comb", "momentum-grid-1e-310",
+         "momentum-grid-1e-315"],
 )
 def test_fringe_report_equals_the_public_functions(curve, reference, period_none, shift, tol):
     report = fringe_report(curve, reference)

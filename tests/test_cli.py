@@ -51,11 +51,18 @@ def run(*args):
     return main(list(args))
 
 
-def test_console_entry_points():
-    for cmd in (["wigslits", "--help"], [sys.executable, "-m", "wigslits", "--help"]):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert "simulate" in proc.stdout
+def _src_pythonpath():
+    # the environment of a child interpreter that imports the package from src
+    src = str(Path(wigslits.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("cmd", [["wigslits"], [sys.executable, "-m", "wigslits"]], ids=["script", "module"])
+def test_console_entry_points(cmd):
+    # the installed console script, and python -m wigslits, each with src first on the import path
+    proc = subprocess.run([*cmd, "--help"], capture_output=True, text=True, env=_src_pythonpath())
+    assert proc.returncode == 0, proc.stderr
+    assert "simulate" in proc.stdout
 
 
 def _fresh_process_modules(calls, *prefixes):
@@ -67,9 +74,7 @@ def _fresh_process_modules(calls, *prefixes):
         + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in calls)
         + f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {prefixes!r})))\n"
     )
-    src = str(Path(wigslits.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_pythonpath())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -104,16 +109,17 @@ def test_fringes_does_not_import_numpy_ma():
 
 
 def test_package_exports_every_public_name_once():
-    # the package re-exports each module's __all__, less the two engine
-    # simulates (one name, two meanings) and the numeric engine's constant
-    from wigslits import analysis, analytic, model, numeric
+    # the package surface is its modules' __all__ and __version__; a name in
+    # two of them would be re-exported from whichever star import came last
+    from wigslits import analysis, analytic, errors, model, numeric
 
-    errors = {"ConventionViolationError", "TruncationError"}
-    expected = set().union(*(m.__all__ for m in (analysis, analytic, model, numeric))) | {"__version__", *errors}
-    expected -= {"simulate", "DEFAULT_EDGE_DECAY_TOL"}
-    assert len(wigslits.__all__) == len(set(wigslits.__all__))
-    assert set(wigslits.__all__) == expected
-    assert all(hasattr(wigslits, name) for name in wigslits.__all__)
+    modules = (errors, model, analytic, numeric, analysis)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert wigslits.__all__ == ["__version__", *names]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(wigslits, name) is getattr(module, name), name
     assert not hasattr(wigslits, "simulate")
 
 
@@ -1087,14 +1093,23 @@ def test_fringes_shift_is_null_where_the_reference_comb_search_ends_on_its_brack
     assert json.loads(capsys.readouterr().out)["shift_vs_reference"] is None
 
 
+def test_fringes_shift_is_null_where_the_curve_has_no_comb(capsys):
+    # two prominent maxima, the slit humps after flight, and no comb: the
+    # shift would print as 1.19e-4, where the closed form gives 0.377 on a
+    # period of 1.822
+    assert run("fringes", "--axis", "position", "--alpha", "2.5", "--d", "5", "--delta", "1.3") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["maxima"]) == 2
+    assert report["period_estimate"] is None and report["shift_vs_reference"] is None
+
+
 def test_random_fringe_reports_print_no_bracket_end_period():
     # P2's draws (tests/probes.py): a period within 1e-9 relative of 0.7 or
     # 1.3 x the comb search's seed is an end of its bracket, not a
     # measurement, and is reported as null; the shift is null exactly where
-    # the reference has no comb frequency, which its report against itself
-    # shows as a null period, or the curve has no prominent maximum. Every
-    # report's maxima ascend strictly and every printed period is > 0. CI
-    # draws 5,000
+    # the curve or the reference has no comb frequency, which a null period
+    # shows, the reference's in its report against itself. Every report's
+    # maxima ascend strictly and every printed period is > 0. CI draws 5,000
     seed, count = sweep(600, 5_000)
     for i, draw in enumerate(probes.p2_draws(seed, count)):
         request = f"draw {i}, seed {seed}: {' '.join(draw.argv)}"
@@ -1103,8 +1118,8 @@ def test_random_fringe_reports_print_no_bracket_end_period():
         assert not probes.at_bracket_end(report), request
         assert all(a < b for a, b in zip(report.maxima, report.maxima[1:])), request
         assert report.period_estimate is None or report.period_estimate > 0, request
-        no_ref_comb = fringe_report(reference, reference).period_estimate is None
-        assert (report.shift_vs_reference is None) == (no_ref_comb or not report.maxima), request
+        no_comb = report.period_estimate is None or fringe_report(reference, reference).period_estimate is None
+        assert (report.shift_vs_reference is None) == no_comb, request
 
 
 def _assert_report_layout(text):

@@ -201,6 +201,21 @@ def test_wigner_transform_enforces_momentum_bandwidth():
         wigner_transform(psi, too_wide, 1.0)
 
 
+def test_momentum_wavefunction_refuses_aliased_momenta():
+    # 24 samples of [-12, 12] resolve |p| <= pi*hbar/dx = 3.01; past it the
+    # sum returned |phibar|^2 1e-2 of peak off the closed form, inside it 1e-4
+    x_grid = Grid1D(min=-12.0, max=12.0, n=24)
+    psi = sample_wavefunction(normalized_params(), x_grid)
+    with pytest.raises(ValueError, match=r"pi\*hbar/dx = 3.01069; refine the x grid$"):
+        momentum_wavefunction(psi, P_GRID, 1.0)
+    bound = math.pi / x_grid.spacing
+    p_grid = Grid1D(min=-bound, max=bound, n=101)
+    p = p_grid.points()
+    closed = 8 * math.pi * np.exp(-(p**2)) * np.cos(5.0 * p) ** 2
+    density = np.abs(momentum_wavefunction(psi, p_grid, 1.0)) ** 2
+    assert np.max(np.abs(density - closed)) <= 2e-4 * closed.max()
+
+
 def test_wigner_transform_catches_kernel_sign_flip(monkeypatch):
     # checking the field against phibar(-p) (the reference evaluated on the
     # mirrored momentum grid, read backwards) is the same comparison as
